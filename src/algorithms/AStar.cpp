@@ -24,7 +24,6 @@ template <typename GraphT, typename HeurFn, typename TouchFn>
 PPSPResult aStarRun(const GraphT &G, VertexId Source, VertexId Target,
                     const Schedule &S, std::vector<Priority> &Dist,
                     HeurFn &&Heur, TouchFn &&Touch,
-                    std::vector<VertexId> *FrontierScratch = nullptr,
                     const RunLimits &Limits = RunLimits{}) {
   const int64_t Delta = S.Delta;
   const Priority Budget = Limits.MaxDistance;
@@ -45,7 +44,7 @@ PPSPResult aStarRun(const GraphT &G, VertexId Source, VertexId Target,
   };
   OrderedStats Stats = detail::distanceOrderedRun(
       G, Source, Dist, S, std::forward<HeurFn>(Heur), Stop,
-      std::forward<TouchFn>(Touch), FrontierScratch, Limits.Cancel);
+      std::forward<TouchFn>(Touch), Limits.Cancel);
   return detail::interruptiblePointResult(Dist[Target], Stats, Delta,
                                           atomicLoadRelaxed(&BudgetKey));
 }
@@ -97,12 +96,12 @@ PPSPResult aStarPooled(const GraphT &G, VertexId Source, VertexId Target,
     return aStarRun(
         G, Source, Target, S, State.distances(),
         [&](VertexId V) { return Heur->estimate(V, Target); }, Touch,
-        &State.frontierScratch(), Limits);
+        Limits);
   const Coordinates &C = G.coordinates();
   return aStarRun(
       G, Source, Target, S, State.distances(),
       [&](VertexId V) { return coordinateBound(C, V, Target); }, Touch,
-      &State.frontierScratch(), Limits);
+      Limits);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 
 #include "algorithms/BellmanFord.h"
 
+#include "support/Abort.h"
 #include "support/Atomics.h"
 #include "support/Timer.h"
 

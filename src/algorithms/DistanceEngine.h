@@ -38,6 +38,7 @@
 #include "graph/Graph.h"
 #include "runtime/LazyBucketQueue.h"
 #include "runtime/Traversal.h"
+#include "support/Abort.h"
 #include "support/Atomics.h"
 #include "support/Prefetch.h"
 #include "support/Timer.h"
@@ -222,16 +223,12 @@ void lazyDistanceLoop(const GraphT &G, LazyBucketQueue &Queue,
 /// via the edge (U, V); it may run concurrently from many threads and must
 /// synchronize internally (the QueryEngine's pooled state uses it to log
 /// touched vertices and parents; the default is a no-op).
-/// \p FrontierScratch optionally reuses the eager engine's O(E) frontier
-/// buffer across runs (see eagerOrderedProcess).
 template <typename GraphT, typename HeurFn, typename StopFn,
           typename TouchFn = NoTouchFn>
 OrderedStats distanceOrderedRun(const GraphT &G, VertexId Source,
                                 std::vector<Priority> &Dist,
                                 const Schedule &S, HeurFn &&Heur,
                                 StopFn &&Stop, TouchFn &&Touch = TouchFn{},
-                                std::vector<VertexId> *FrontierScratch =
-                                    nullptr,
                                 const CancelToken *Cancel = nullptr) {
   OrderedStats Stats;
   const int64_t Delta = S.Delta;
@@ -240,9 +237,8 @@ OrderedStats distanceOrderedRun(const GraphT &G, VertexId Source,
 
   if (S.isEager()) {
     auto Relax = makeEagerRelax(G, Dist, Delta, Heur, Touch);
-    eagerOrderedProcess(G.numNodes(), G.numEdges() + 1, Source,
-                        Heur(Source) / Delta, S, Relax, Stop, &Stats,
-                        FrontierScratch,
+    eagerOrderedProcess(G.numNodes(), Source, Heur(Source) / Delta, S,
+                        Relax, Stop, &Stats,
                         [&G, &Dist](VertexId V) {
                           prefetchWrite(&Dist[V]);
                           G.prefetchOutRow(V);
@@ -270,9 +266,7 @@ OrderedStats distanceOrderedSeededRun(const GraphT &G,
                                       const std::vector<VertexId> &Seeds,
                                       std::vector<Priority> &Dist,
                                       const Schedule &S,
-                                      TouchFn &&Touch = TouchFn{},
-                                      std::vector<VertexId> *FrontierScratch =
-                                          nullptr) {
+                                      TouchFn &&Touch = TouchFn{}) {
   OrderedStats Stats;
   const int64_t Delta = S.Delta;
   auto Heur = [](VertexId) { return Priority{0}; };
@@ -287,9 +281,8 @@ OrderedStats distanceOrderedSeededRun(const GraphT &G,
     for (VertexId V : Seeds)
       SeedKeys.push_back({V, Dist[V] / Delta});
     eagerOrderedProcessSeeds(
-        G.numNodes(), G.numEdges() + static_cast<Count>(Seeds.size()) + 1,
-        SeedKeys.data(), static_cast<Count>(SeedKeys.size()), S, Relax,
-        Stop, &Stats, FrontierScratch, [&G, &Dist](VertexId V) {
+        G.numNodes(), SeedKeys.data(), static_cast<Count>(SeedKeys.size()),
+        S, Relax, Stop, &Stats, [&G, &Dist](VertexId V) {
           prefetchWrite(&Dist[V]);
           G.prefetchOutRow(V);
         });

@@ -190,8 +190,7 @@ RepairStats repairAfterUpdates(const GraphT &G,
         [](VertexId) { return Priority{0}; }, [](int64_t) { return false; },
         [&State](VertexId V, VertexId From) {
           State.recordImprovement(V, From);
-        },
-        &State.frontierScratch());
+        });
     return R;
   }
 
@@ -233,8 +232,7 @@ RepairStats repairAfterUpdates(const GraphT &G,
       G, Seeds, Dist, S,
       [&State](VertexId V, VertexId From) {
         State.recordImprovement(V, From);
-      },
-      &State.frontierScratch());
+      });
   return R;
 }
 

@@ -20,7 +20,6 @@ template <typename GraphT, typename TouchFn>
 PPSPResult ppspRun(const GraphT &G, VertexId Source, VertexId Target,
                    const Schedule &S, std::vector<Priority> &Dist,
                    TouchFn &&Touch,
-                   std::vector<VertexId> *FrontierScratch = nullptr,
                    const RunLimits &Limits = RunLimits{}) {
   const int64_t Delta = S.Delta;
   const Priority Budget = Limits.MaxDistance;
@@ -43,7 +42,7 @@ PPSPResult ppspRun(const GraphT &G, VertexId Source, VertexId Target,
   };
   OrderedStats Stats = detail::distanceOrderedRun(
       G, Source, Dist, S, [](VertexId) { return Priority{0}; }, Stop,
-      std::forward<TouchFn>(Touch), FrontierScratch, Limits.Cancel);
+      std::forward<TouchFn>(Touch), Limits.Cancel);
   return detail::interruptiblePointResult(Dist[Target], Stats, Delta,
                                           atomicLoadRelaxed(&BudgetKey));
 }
@@ -67,7 +66,7 @@ PPSPResult ppspPooled(const GraphT &G, VertexId Source, VertexId Target,
       [&State](VertexId V, VertexId From) {
         State.recordImprovement(V, From);
       },
-      &State.frontierScratch(), Limits);
+      Limits);
 }
 
 } // namespace

@@ -14,6 +14,8 @@
 /// initialized once, every query logs the vertices it improves
 /// (epoch-stamped, so each vertex is logged at most once per query), and
 /// the next `beginQuery` resets exactly those — O(touched), not O(V).
+/// The state holds only per-vertex arrays; the eager engine's bins and
+/// round shares belong to the run, sized by the vertices it pushes.
 ///
 /// The pooled overloads of `deltaSteppingSSSP` / `pointToPointShortestPath`
 /// / `aStarSearch` take a `DistanceState &` instead of allocating
@@ -105,16 +107,11 @@ public:
   /// beginQuery). Incremental repair re-anchors on it.
   VertexId source() const { return Source_; }
 
-  /// Caller-owned scratch for the eager engine's shared frontier (grown
-  /// once to O(E) and reused, instead of value-initialized per run).
-  std::vector<VertexId> &frontierScratch() { return FrontierScratch; }
-
 private:
   std::vector<Priority> Dist;
   std::vector<VertexId> Parent;  ///< empty unless TrackParents
   std::vector<uint32_t> Stamp;   ///< epoch stamp per vertex
   std::vector<VertexId> Touched; ///< capacity NumNodes; first NumTouched valid
-  std::vector<VertexId> FrontierScratch; ///< eager engine frontier reuse
   Count NumTouched = 0;
   uint32_t Epoch = 0;
   uint64_t QueriesBegun = 0;

@@ -34,7 +34,7 @@ OrderedStats ssspPooled(const GraphT &G, VertexId Source, const Schedule &S,
       [&State](VertexId V, VertexId From) {
         State.recordImprovement(V, From);
       },
-      &State.frontierScratch(), Cancel);
+      Cancel);
 }
 
 } // namespace

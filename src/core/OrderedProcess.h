@@ -14,20 +14,25 @@
 ///
 ///   - each thread owns a `LocalBinWindow`, a sliding circular window of
 ///     buckets keyed by coarsened priority (keys beyond the window go to a
-///     per-thread overflow list that is migrated as the window slides);
-///   - a round relaxes the shared frontier (`omp for nowait`), pushing
-///     improved vertices into thread-local bins — no atomics on buckets;
+///     per-thread overflow list that is migrated as the window slides),
+///     and a *round share*: its slice of the current global round;
+///   - a round relaxes every share, pushing improved vertices into
+///     thread-local bins — no atomics on buckets. A thread works through
+///     its own share first, claiming `kDynamicGrain`-vertex chunks with a
+///     fetch-and-add on the share's cursor, then steals chunks from the
+///     other shares the same way. Most of a round therefore runs on the
+///     thread that pushed it, next to the region it just relaxed;
 ///   - bucket fusion: while a thread's bin for the *current* key is
 ///     non-empty and below `FusionThreshold`, the thread drains it
 ///     immediately, with no global barrier (same-priority rounds fuse;
 ///     ordering is preserved because only equal-priority work is executed);
 ///   - threads then propose the minimum non-empty bin key — an O(1)
 ///     amortized resume from a tracked per-thread minimum, folded into the
-///     shared next key with an atomic min (no critical section) — and the
-///     winning bucket is copied into the shared frontier with
-///     fetch-and-add. Drained bin storage is recycled in place: the window
-///     is circular, so a slot whose key has passed is reused (still warm)
-///     for the keys that slide into it.
+///     shared next key with an atomic min (no critical section). After the
+///     first barrier each thread swaps its bin for the agreed key into its
+///     own share: no copy, and no shared O(E) frontier. The swap recycles
+///     storage both ways, and the window is circular, so a slot whose key
+///     has passed is reused (still warm) for the keys that slide into it.
 ///
 /// The engine is generic over the relaxation: `Relax(U, CurrKey, Push)`
 /// re-checks staleness and calls `Push(V, Key)` for every improved
@@ -41,9 +46,9 @@
 #define GRAPHIT_CORE_ORDEREDPROCESS_H
 
 #include "core/Schedule.h"
-#include "support/Abort.h"
 #include "support/Atomics.h"
 #include "support/Cancellation.h"
+#include "support/Parallel.h"
 #include "support/Prefetch.h"
 #include "support/TSanAnnotate.h"
 #include "support/Timer.h"
@@ -53,6 +58,7 @@
 #include <cassert>
 #include <limits>
 #include <omp.h>
+#include <utility>
 #include <vector>
 
 namespace graphit {
@@ -217,6 +223,16 @@ private:
   int64_t OverflowMin = kMaxEagerKey;
 };
 
+/// One thread's slice of a global round: the bin it swapped in for the
+/// round's key. The owner relaxes it first; threads that finish their own
+/// share steal from it. Both claim `kDynamicGrain`-vertex chunks by
+/// fetch-and-add on `Next`. Aligned to a cache line so the cursors of
+/// different shares do not share one.
+struct alignas(64) RoundShare {
+  std::vector<VertexId> Items;
+  int64_t Next = 0; ///< first unclaimed index of Items
+};
+
 } // namespace detail
 
 /// Runs the eager ordered processing loop (with or without bucket fusion,
@@ -226,39 +242,30 @@ private:
 /// non-negative and monotonically non-decreasing up to the tolerance
 /// handled by clamping in the caller.
 ///
-/// \param NumNodes          vertex universe size (bins sanity checks)
-/// \param FrontierCapacity  capacity of the shared frontier array; pushes
-///                          beyond it abort (GAPBS sizes this at numEdges)
-/// \param Seeds             initial (vertex, bucket key) pairs; processing
-///                          starts at the minimum seeded key
-/// \param NumSeeds          number of seeds (0 is a no-op)
-/// \param Relax             `(VertexId U, int64_t CurrKey, Push)`;
-///                          `Push(VertexId V, int64_t Key)`
-/// \param Stop              `(int64_t CurrKey) -> bool`, checked at round
-///                          start on round-stable data
-/// \param FrontierScratch   optional caller-owned storage for the shared
-///                          frontier. A fresh run value-initializes O(E)
-///                          elements — a real cost at query-serving rates —
-///                          so pooled callers pass a buffer that is grown
-///                          once and reused across runs (stale contents are
-///                          harmless: only indices below the round tails
-///                          are ever read).
-/// \param Cancel            optional cooperative cancellation token. It is
-///                          polled once per global round by the single
-///                          bookkeeping thread and the verdict latched into
-///                          shared state, so every thread observes the same
-///                          decision at the same barrier (polling the clock
-///                          in the loop condition would let threads disagree
-///                          and deadlock). Zero cost when nullptr.
+/// \param NumNodes   vertex universe size (seed sanity checks)
+/// \param Seeds      initial (vertex, bucket key) pairs; processing starts
+///                   at the minimum seeded key
+/// \param NumSeeds   number of seeds (0 is a no-op)
+/// \param Relax      `(VertexId U, int64_t CurrKey, Push)`;
+///                   `Push(VertexId V, int64_t Key)`
+/// \param Stop       `(int64_t CurrKey) -> bool`, checked at round start on
+///                   round-stable data
+/// \param VPrefetch  `(VertexId V)`, called for the share entry a few slots
+///                   ahead of the one being relaxed
+/// \param Cancel     optional cooperative cancellation token. It is polled
+///                   once per global round by the single bookkeeping
+///                   thread and the verdict latched into shared state, so
+///                   every thread observes the same decision at the same
+///                   barrier (polling the clock in the loop condition would
+///                   let threads disagree and deadlock). Zero cost when
+///                   nullptr.
 template <typename RelaxFn, typename StopFn,
           typename VPrefetchFn = NoVertexPrefetch>
-void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
+void eagerOrderedProcessSeeds(Count NumNodes,
                               const std::pair<VertexId, int64_t> *Seeds,
                               Count NumSeeds, const Schedule &S,
                               RelaxFn &&Relax, StopFn &&Stop,
                               OrderedStats *Stats = nullptr,
-                              std::vector<VertexId> *FrontierScratch =
-                                  nullptr,
                               VPrefetchFn &&VPrefetch = VPrefetchFn{},
                               const CancelToken *Cancel = nullptr) {
   (void)NumNodes;
@@ -271,28 +278,24 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
   const int64_t Threshold = S.FusionThreshold;
 
   Timer Clock;
-  std::vector<VertexId> OwnFrontier;
-  std::vector<VertexId> &Frontier =
-      FrontierScratch ? *FrontierScratch : OwnFrontier;
-  const size_t NeededCapacity = static_cast<size_t>(
-      std::max<Count>(std::max(FrontierCapacity, NumSeeds), 1024));
-  if (Frontier.size() < NeededCapacity)
-    Frontier.resize(NeededCapacity);
-  // The round frontier holds the minimum seed key's vertices; later-keyed
-  // seeds are filed into one thread's local bins inside the region (they
-  // surface through the ordinary min-key proposal).
+  // One share per thread the region can start (a team is never larger
+  // than omp_get_max_threads() without a num_threads clause). The first
+  // round is the minimum seed key's vertices, all in thread 0's share —
+  // the other threads steal from it. Later-keyed seeds are filed into
+  // thread 0's local bins inside the region (they surface through the
+  // ordinary min-key proposal).
+  std::vector<detail::RoundShare> Shares(
+      static_cast<size_t>(std::max(omp_get_max_threads(), 1)));
   int64_t MinSeedKey = kMaxEagerKey;
   for (Count I = 0; I < NumSeeds; ++I) {
     assert(static_cast<Count>(Seeds[I].first) < NumNodes &&
            "seed out of range");
     MinSeedKey = std::min(MinSeedKey, Seeds[I].second);
   }
-  int64_t SeedTail = 0;
   for (Count I = 0; I < NumSeeds; ++I)
     if (Seeds[I].second == MinSeedKey)
-      Frontier[static_cast<size_t>(SeedTail++)] = Seeds[I].first;
+      Shares[0].Items.push_back(Seeds[I].first);
   int64_t SharedKeys[2] = {MinSeedKey, kMaxEagerKey};
-  int64_t FrontierTails[2] = {SeedTail, 0};
 
   // A token that is already expired never enters the region: the run
   // reports the empty (but still correct) settled prefix below the first
@@ -319,19 +322,22 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
 #pragma omp parallel
   {
     GRAPHIT_OMP_REGION_BEGIN(&SyncTag);
+    const int Tid = omp_get_thread_num();
+    const int NumShares = omp_get_num_threads();
+    detail::RoundShare &Own = Shares[static_cast<size_t>(Tid)];
     // The window size rides on the lazy engine's bucket-count knob: both
     // answer "how many coarsened keys ahead do we materialize?".
     detail::LocalBinWindow Bins(S.NumOpenBuckets);
     std::vector<VertexId> DrainBuf;
     int64_t LocalFused = 0;
-    int64_t LocalFusedVerts = 0;
+    int64_t LocalVerts = 0;
     int64_t Iter = 0;
 
     auto Push = [&Bins](VertexId V, int64_t Key) { Bins.push(V, Key); };
 
     // One thread files the seeds beyond the first round's key; they are
     // few (a repair's affected boundary), so load balance is unaffected.
-    if (omp_get_thread_num() == 0)
+    if (Tid == 0)
       for (Count I = 0; I < NumSeeds; ++I)
         if (Seeds[I].second != MinSeedKey)
           Bins.push(Seeds[I].first, Seeds[I].second);
@@ -340,25 +346,36 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
            !Stop(SharedKeys[Iter & 1])) {
       int64_t &CurrKey = SharedKeys[Iter & 1];
       int64_t &NextKey = SharedKeys[(Iter + 1) & 1];
-      int64_t &CurrTail = FrontierTails[Iter & 1];
-      int64_t &NextTail = FrontierTails[(Iter + 1) & 1];
 
       // All bins below CurrKey are globally empty (CurrKey won the round's
       // min-reduction): slide the window forward, migrating overflow.
       Bins.advanceTo(CurrKey);
 
-#pragma omp for nowait schedule(dynamic, kDynamicGrain)
-      for (int64_t I = 0; I < CurrTail; ++I) {
-        // Look ahead in this round's frontier: the next vertices' distance
-        // words are the first scattered loads their relaxation performs.
-        if (I + kPrefetchDistance < CurrTail)
-          VPrefetch(Frontier[static_cast<size_t>(I + kPrefetchDistance)]);
-        Relax(Frontier[static_cast<size_t>(I)], CurrKey, Push);
+      // Own share first, then steal from the others in ring order. Shares
+      // are read-only during a round; only their cursors move.
+      LocalVerts += static_cast<int64_t>(Own.Items.size());
+      for (int K = 0; K < NumShares; ++K) {
+        detail::RoundShare &Sh =
+            Shares[static_cast<size_t>((Tid + K) % NumShares)];
+        const VertexId *Items = Sh.Items.data();
+        const int64_t Size = static_cast<int64_t>(Sh.Items.size());
+        for (int64_t Begin = fetchAdd(&Sh.Next, int64_t{kDynamicGrain});
+             Begin < Size;
+             Begin = fetchAdd(&Sh.Next, int64_t{kDynamicGrain})) {
+          const int64_t End = std::min(Begin + kDynamicGrain, Size);
+          for (int64_t I = Begin; I < End; ++I) {
+            // Look ahead in the share: the next vertices' distance words
+            // are the first scattered loads their relaxation performs.
+            if (I + kPrefetchDistance < Size)
+              VPrefetch(Items[I + kPrefetchDistance]);
+            Relax(Items[I], CurrKey, Push);
+          }
+        }
       }
 
       // Bucket fusion (Fig. 7 lines 14-21): drain the current local bucket
       // without synchronizing, as long as it stays below the threshold
-      // (large buckets go to the global frontier for load balance). The
+      // (large buckets go to the next global round for load balance). The
       // swap recycles storage both ways: the slot inherits DrainBuf's
       // cleared capacity, DrainBuf inherits the slot's elements.
       if (Fuse) {
@@ -368,7 +385,7 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
           std::swap(DrainBuf, Bins.bin(CurrKey));
           ++LocalFused;
           const int64_t DrainSize = static_cast<int64_t>(DrainBuf.size());
-          LocalFusedVerts += DrainSize;
+          LocalVerts += DrainSize;
           for (int64_t K = 0; K < DrainSize; ++K) {
             if (K + kPrefetchDistance < DrainSize)
               VPrefetch(DrainBuf[static_cast<size_t>(K + kPrefetchDistance)]);
@@ -389,9 +406,7 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
 #pragma omp single nowait
       {
         ++Rounds;
-        VerticesProcessed += CurrTail;
         CurrKey = kMaxEagerKey;
-        CurrTail = 0;
         // NextKey is final after the barrier above, so one thread can
         // poll the token here and latch both the verdict and the key it
         // stopped before; the writes publish to every thread at the
@@ -403,23 +418,19 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
         }
       }
 
-      if (Bins.nonEmptyAt(NextKey)) {
-        std::vector<VertexId> &Bin = Bins.bin(NextKey);
-        int64_t CopyStart =
-            fetchAdd(&NextTail, static_cast<int64_t>(Bin.size()));
-        if (CopyStart + static_cast<int64_t>(Bin.size()) >
-            static_cast<int64_t>(Frontier.size()))
-          fatalError("eager frontier overflow; raise FrontierCapacity");
-        std::copy(Bin.begin(), Bin.end(),
-                  Frontier.begin() + static_cast<size_t>(CopyStart));
-        Bin.clear();
-      }
+      // Every share was drained before the barrier above: hand this
+      // thread's bin for the next key to its share, and the share's
+      // cleared storage to the bin slot.
+      Own.Items.clear();
+      if (Bins.nonEmptyAt(NextKey))
+        std::swap(Own.Items, Bins.bin(NextKey));
+      Own.Next = 0;
       ++Iter;
       GRAPHIT_OMP_BARRIER(&SyncTag);
     }
 
     fetchAdd(&FusedRounds, LocalFused);
-    fetchAdd(&VerticesProcessed, LocalFusedVerts);
+    fetchAdd(&VerticesProcessed, LocalVerts);
     GRAPHIT_OMP_REGION_END(&SyncTag);
   }
   GRAPHIT_OMP_REGION_EXIT(&SyncTag);
@@ -438,18 +449,15 @@ void eagerOrderedProcessSeeds(Count NumNodes, Count FrontierCapacity,
 /// one vertex — the source at key 0, or ⌊h(s)/Δ⌋ for A*).
 template <typename RelaxFn, typename StopFn,
           typename VPrefetchFn = NoVertexPrefetch>
-void eagerOrderedProcess(Count NumNodes, Count FrontierCapacity,
-                         VertexId Source, int64_t SourceKey,
+void eagerOrderedProcess(Count NumNodes, VertexId Source, int64_t SourceKey,
                          const Schedule &S, RelaxFn &&Relax, StopFn &&Stop,
                          OrderedStats *Stats = nullptr,
-                         std::vector<VertexId> *FrontierScratch = nullptr,
                          VPrefetchFn &&VPrefetch = VPrefetchFn{},
                          const CancelToken *Cancel = nullptr) {
   const std::pair<VertexId, int64_t> Seed{Source, SourceKey};
-  eagerOrderedProcessSeeds(NumNodes, FrontierCapacity, &Seed, 1, S,
+  eagerOrderedProcessSeeds(NumNodes, &Seed, 1, S,
                            std::forward<RelaxFn>(Relax),
                            std::forward<StopFn>(Stop), Stats,
-                           FrontierScratch,
                            std::forward<VPrefetchFn>(VPrefetch), Cancel);
 }
 

@@ -108,6 +108,7 @@ private:
     line("#include \"runtime/Histogram.h\"");
     line("#include \"runtime/LazyBucketQueue.h\"");
     line("#include \"runtime/Traversal.h\"");
+    line("#include \"support/Abort.h\"");
     line();
     line("#include <cstdio>");
     line("#include <cstdlib>");
@@ -391,9 +392,9 @@ private:
     std::string Start =
         B.StartVertex ? exprToCpp(*B.StartVertex, nullptr) : "0";
     line("auto GenStop = " + stopLambda(L, B, "GenDelta") + ";");
-    line("eagerOrderedProcess(" + L.EdgesetName + ".numNodes(), " +
-         L.EdgesetName + ".numEdges() + 1, static_cast<VertexId>(" + Start +
-         "), " + Vec + "[static_cast<size_t>(" + Start +
+    line("eagerOrderedProcess(" + L.EdgesetName +
+         ".numNodes(), static_cast<VertexId>(" + Start + "), " + Vec +
+         "[static_cast<size_t>(" + Start +
          ")] / GenDelta, GenSched, GenRelax, GenStop, &GenStats);");
     line("std::printf(\"[" + L.Label +
          "] rounds=%lld fused=%lld\\n\", (long long)GenStats.Rounds, "

@@ -355,8 +355,8 @@ private:
       for (WNode Edge : G.outNeighbors(U))
         evalUDF(*F, U, Edge.V, Edge.W, Sink);
     };
-    eagerOrderedProcess(G.numNodes(), G.numEdges() + 1, Q.Start,
-                        Prio[Q.Start] / Delta, S, Relax, Stop, &Stats);
+    eagerOrderedProcess(G.numNodes(), Q.Start, Prio[Q.Start] / Delta, S,
+                        Relax, Stop, &Stats);
     LastStats = Stats;
   }
 

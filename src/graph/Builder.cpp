@@ -13,6 +13,7 @@
 #include "support/Random.h"
 
 #include <algorithm>
+#include <functional>
 
 using namespace graphit;
 
@@ -27,8 +28,32 @@ struct CSRArrays {
   std::vector<WNode> Adj;    ///< weighted (interleaved) layout
 };
 
+/// Drops parallel edges from the sorted rows of one CSR direction (either
+/// layout). A row is sorted by neighbor, then weight, so each neighbor's
+/// first entry is its lightest; `unique` keeps that one. The survivors
+/// are then packed into an exactly-sized array.
+template <typename Entry, typename SameNeighborFn>
+void removeParallelEdges(Count NumNodes, std::vector<int64_t> &Offsets,
+                         std::vector<Entry> &Rows, SameNeighborFn Same) {
+  std::vector<int64_t> Kept(static_cast<size_t>(NumNodes) + 1, 0);
+  parallelFor(0, NumNodes, [&](Count V) {
+    auto Lo = Rows.begin() + Offsets[V];
+    Kept[V] = std::unique(Lo, Rows.begin() + Offsets[V + 1], Same) - Lo;
+  });
+  const int64_t Total = exclusivePrefixSum(Kept.data(), NumNodes + 1);
+  if (Total == Offsets[NumNodes])
+    return; // no parallel edges
+  std::vector<Entry> Packed(static_cast<size_t>(Total));
+  parallelFor(0, NumNodes, [&](Count V) {
+    std::copy_n(Rows.begin() + Offsets[V], Kept[V + 1] - Kept[V],
+                Packed.begin() + Kept[V]);
+  });
+  Offsets = std::move(Kept);
+  Rows = std::move(Packed);
+}
+
 CSRArrays buildDirection(Count NumNodes, const std::vector<Edge> &Edges,
-                         bool Out, bool Weighted) {
+                         bool Out, bool Weighted, bool Dedup) {
   CSRArrays R;
   Count M = static_cast<Count>(Edges.size());
   R.Offsets.assign(NumNodes + 1, 0);
@@ -72,6 +97,14 @@ CSRArrays buildDirection(Count NumNodes, const std::vector<Edge> &Edges,
     }
     std::sort(R.Adj.begin() + Lo, R.Adj.begin() + Hi, adjacencyRowLess);
   });
+  if (Dedup && Weighted)
+    removeParallelEdges(NumNodes, R.Offsets, R.Adj,
+                        [](const WNode &A, const WNode &B) {
+                          return A.V == B.V;
+                        });
+  else if (Dedup)
+    removeParallelEdges(NumNodes, R.Offsets, R.Ids,
+                        std::equal_to<VertexId>());
   return R;
 }
 
@@ -124,36 +157,24 @@ Graph GraphBuilder::build(Count NumNodes, std::vector<Edge> Edges) const {
                 Edges.end());
   }
 
-  if (Options.RemoveDuplicates) {
-    std::sort(Edges.begin(), Edges.end(), [](const Edge &A, const Edge &B) {
-      if (A.Src != B.Src)
-        return A.Src < B.Src;
-      if (A.Dst != B.Dst)
-        return A.Dst < B.Dst;
-      return A.W < B.W; // keep the minimum weight among parallel edges
-    });
-    Edges.erase(std::unique(Edges.begin(), Edges.end(),
-                            [](const Edge &A, const Edge &B) {
-                              return A.Src == B.Src && A.Dst == B.Dst;
-                            }),
-                Edges.end());
-  }
-
+  // Parallel edges are dropped from each CSR row once it is sorted
+  // (removeParallelEdges); both directions keep the minimum weight of
+  // each (u, v) pair.
   Graph G;
   G.NumNodes = NumNodes;
-  G.NumEdges = static_cast<Count>(Edges.size());
   G.Symmetric = Options.Symmetrize;
   G.Weighted = Options.Weighted && !Edges.empty();
 
-  CSRArrays OutDir =
-      buildDirection(NumNodes, Edges, /*Out=*/true, G.Weighted);
+  CSRArrays OutDir = buildDirection(NumNodes, Edges, /*Out=*/true,
+                                    G.Weighted, Options.RemoveDuplicates);
+  G.NumEdges = static_cast<Count>(OutDir.Offsets.back());
   G.OutOffsets = std::move(OutDir.Offsets);
   G.OutIds = std::move(OutDir.Ids);
   G.OutAdj = std::move(OutDir.Adj);
 
   if (!Options.Symmetrize && Options.BuildInEdges) {
-    CSRArrays InDir =
-        buildDirection(NumNodes, Edges, /*Out=*/false, G.Weighted);
+    CSRArrays InDir = buildDirection(NumNodes, Edges, /*Out=*/false,
+                                     G.Weighted, Options.RemoveDuplicates);
     G.InOffsets = std::move(InDir.Offsets);
     G.InIds = std::move(InDir.Ids);
     G.InAdj = std::move(InDir.Adj);

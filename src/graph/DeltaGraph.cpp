@@ -89,7 +89,7 @@ DeltaGraph::Patch &DeltaGraph::patchFor(VertexId V, bool Out) {
     // Copy-on-write: a published snapshot still references this list, so
     // the first mutation after a publish clones it. Only lists actually
     // dirtied between publishes are ever deep-copied.
-    if (P.use_count() > 1)
+    if (!isSoleOwner(P))
       P = std::make_shared<Patch>(*P);
     return *P;
   }

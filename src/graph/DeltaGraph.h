@@ -34,6 +34,7 @@
 #define GRAPHIT_GRAPH_DELTAGRAPH_H
 
 #include "graph/Graph.h"
+#include "support/SoleOwner.h"
 
 #include <algorithm>
 #include <array>
@@ -110,10 +111,12 @@ struct BaseSegment {
 ///
 /// Concurrency contract: all copies of a given writer and all mutations of
 /// it are serialized by the owner (SnapshotStore holds its writer mutex
-/// across both). Snapshots may be *read and released* from any thread —
-/// releasing only decrements refcounts, which can make a `use_count()`
-/// observed by the serialized writer stale-high, never stale-low, so the
-/// worst case is one unnecessary clone.
+/// across both). Snapshots may be *read and released* from any thread.
+/// Releasing only decrements refcounts, so a count the serialized writer
+/// reads can be stale-high (one unnecessary clone), never stale-low. A
+/// count of 1 is not enough to write in place, though: the writer must
+/// also order the last reader's reads before its writes, which is what
+/// `isSoleOwner` (support/SoleOwner.h) adds to the check.
 class DeltaGraph {
 public:
   DeltaGraph() = default;
@@ -326,7 +329,7 @@ private:
       if (!P) {
         P = std::make_shared<Page>();
         P->fill(kNoSlot);
-      } else if (P.use_count() > 1) {
+      } else if (!isSoleOwner(P)) {
         P = std::make_shared<Page>(*P); // shared with a snapshot: clone
       }
       (*P)[V & (kPageSize - 1)] = S;

@@ -33,6 +33,7 @@
 #include "algorithms/QueryState.h"
 #include "core/Schedule.h"
 #include "graph/DeltaGraph.h"
+#include "support/SoleOwner.h"
 #include "support/ThreadSafety.h"
 #include "support/Types.h"
 
@@ -121,7 +122,7 @@ public:
       return nullptr;
     std::shared_ptr<DistanceState> Out = std::move(Victim->second.State);
     S.Map.erase(Victim);
-    if (Out && Out.use_count() == 1)
+    if (isSoleOwner(Out))
       return Out;
     return nullptr; // still referenced by a reader; let it expire there
   }
@@ -157,7 +158,7 @@ public:
       }
       for (auto &[Source, St] : Work) {
         (void)Source;
-        if (St.use_count() != 1)
+        if (!isSoleOwner(St))
           St = std::make_shared<DistanceState>(*St); // reader holds a ref
         St->resize(G.numNodes());
         repairAfterUpdates(G, Applied, *St, Sched, Scratch);
@@ -198,7 +199,7 @@ public:
         }
         // Map lookups require this stripe lock, so a use_count of 1
         // here means no reader can gain a reference concurrently.
-        if (E.State.use_count() != 1)
+        if (!isSoleOwner(E.State))
           E.State = std::make_shared<DistanceState>(*E.State);
         E.State->resize(NewNodes);
         E.Version = NewVersion;

@@ -21,8 +21,9 @@
 ///    fusion, eager, or lazy, selectable per query — one engine run per
 ///    query, many queries in flight.
 ///
-/// The O(touched) setup applies to the eager engines (distance array and
-/// the O(E) frontier buffer are pooled). Lazy-schedule queries reuse the
+/// The O(touched) setup applies to the eager engines: the distance array
+/// is pooled, and the engine's own bins and round shares grow with the
+/// vertices a query pushes, not with V or E. Lazy-schedule queries reuse the
 /// pooled distance array but still construct their bucket queue and
 /// traversal buffers per run (O(V)); serve latency-sensitive point
 /// queries with an eager schedule.

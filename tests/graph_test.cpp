@@ -8,6 +8,7 @@
 #include "graph/Builder.h"
 #include "graph/Generators.h"
 #include "graph/Graph.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <tuple>
 
 using namespace graphit;
 
@@ -140,6 +142,75 @@ TEST(Builder, OutDegreeSum) {
   VertexId Vs[] = {0, 1};
   EXPECT_EQ(G.outDegreeSum(Vs, 2), 3);
   EXPECT_EQ(G.outDegreeSum(Vs, 0), 0);
+}
+
+TEST(Builder, PerRowDedupMatchesSortAndUniqueReference) {
+  // Edge lists heavy with parallel edges (each (u, v) pair ~4 times, with
+  // different weights) and self-loops. The builder drops duplicates per
+  // sorted CSR row; the reference sorts and uniques the whole list.
+  // 3000 vertices keep the builder on its parallel paths.
+  const Count N = 3000;
+  std::vector<Edge> Edges;
+  for (uint64_t I = 0; I < 60000; ++I) {
+    uint64_t H = hash64(I);
+    VertexId Src = static_cast<VertexId>(H % N);
+    VertexId Dst = static_cast<VertexId>((Src + (H >> 24) % 5) % N);
+    Edges.push_back({Src, Dst, static_cast<Weight>(1 + (H >> 40) % 50)});
+  }
+
+  struct Case {
+    const char *Name;
+    bool Symmetrize;
+    bool Weighted;
+  };
+  for (Case C : {Case{"directed", false, true}, Case{"symmetric", true, true},
+                 Case{"unweighted", false, false}}) {
+    SCOPED_TRACE(C.Name);
+    BuildOptions Options;
+    Options.Symmetrize = C.Symmetrize;
+    Options.Weighted = C.Weighted;
+    Graph G = GraphBuilder(Options).build(N, Edges);
+
+    std::vector<Edge> Ref = Edges;
+    if (C.Symmetrize)
+      for (const Edge &E : Edges)
+        Ref.push_back({E.Dst, E.Src, E.W});
+    Ref.erase(std::remove_if(Ref.begin(), Ref.end(),
+                             [](const Edge &E) { return E.Src == E.Dst; }),
+              Ref.end());
+    std::sort(Ref.begin(), Ref.end(), [](const Edge &A, const Edge &B) {
+      return std::tie(A.Src, A.Dst, A.W) < std::tie(B.Src, B.Dst, B.W);
+    });
+    Ref.erase(std::unique(Ref.begin(), Ref.end(),
+                          [](const Edge &A, const Edge &B) {
+                            return A.Src == B.Src && A.Dst == B.Dst;
+                          }),
+              Ref.end());
+    ASSERT_LT(Ref.size(), Edges.size() / 2) << "input must be dup-heavy";
+    EXPECT_EQ(G.numEdges(), static_cast<Count>(Ref.size()));
+
+    // Expected rows in CSR order: out-rows by (src, dst), in-rows by
+    // (dst, src); unweighted graphs report unit weights.
+    using Row = std::vector<std::pair<VertexId, Weight>>;
+    std::vector<Row> Out(N), In(N);
+    for (const Edge &E : Ref) {
+      Weight W = C.Weighted ? E.W : 1;
+      Out[E.Src].push_back({E.Dst, W});
+      In[E.Dst].push_back({E.Src, W});
+    }
+    for (Row &R : In)
+      std::sort(R.begin(), R.end());
+    for (VertexId V = 0; V < N; ++V) {
+      Row GotOut, GotIn;
+      for (WNode E : G.outNeighbors(V))
+        GotOut.push_back({E.V, E.W});
+      for (WNode E : G.inNeighbors(V))
+        GotIn.push_back({E.V, E.W});
+      ASSERT_EQ(GotOut, Out[V]) << "out-row of " << V;
+      // Symmetric graphs alias in-rows to out-rows.
+      ASSERT_EQ(GotIn, C.Symmetrize ? Out[V] : In[V]) << "in-row of " << V;
+    }
+  }
 }
 
 TEST(Builder, SymmetrizedCopyOfDirectedGraph) {

@@ -14,6 +14,7 @@
 
 #include "graph/Builder.h"
 #include "graph/Generators.h"
+#include "support/Parallel.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -64,10 +65,23 @@ std::vector<Priority> runEager(const Graph &G, VertexId Src,
         Push(E.V, ND / Delta);
     }
   };
-  eagerOrderedProcess(G.numNodes(), G.numEdges() + 1, Src, 0, S, Relax,
+  eagerOrderedProcess(G.numNodes(), Src, 0, S, Relax,
                       [](int64_t) { return false; }, Stats);
   return Dist;
 }
+
+/// Sets the OpenMP thread count for one test case and restores the
+/// previous count when the case ends, pass or fail.
+class ScopedThreads {
+public:
+  explicit ScopedThreads(int Threads) : Saved(getNumWorkers()) {
+    setNumWorkers(Threads);
+  }
+  ~ScopedThreads() { setNumWorkers(Saved); }
+
+private:
+  int Saved;
+};
 
 struct EagerCase {
   const char *Name;
@@ -174,8 +188,8 @@ TEST(EagerEngine, StopPredicateCutsExecution) {
     }
   };
   OrderedStats Stats;
-  eagerOrderedProcess(G.numNodes(), G.numEdges() + 1, VertexId{0}, 0, S,
-                      Relax, [](int64_t Key) { return Key >= 5; }, &Stats);
+  eagerOrderedProcess(G.numNodes(), VertexId{0}, 0, S, Relax,
+                      [](int64_t Key) { return Key >= 5; }, &Stats);
   EXPECT_EQ(Dist[4], 4);
   EXPECT_EQ(Dist[10], kInfiniteDistance);
   EXPECT_LE(Stats.Rounds, 7);
@@ -249,4 +263,71 @@ TEST(EagerEngine, VertexCountsAccumulate) {
   // Every vertex is processed at least once, via frontier or fusion.
   EXPECT_GE(Stats.VerticesProcessed, 49);
   EXPECT_GT(Stats.Seconds, 0.0);
+}
+
+//===----------------------------------------------------------------------===//
+// Round shares and stealing
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every share/steal configuration on \p G from \p Src must reproduce
+/// Dijkstra exactly: thread counts 1-4 (one share each, so 2-4 steal),
+/// fusion thresholds that fuse every bucket, the default, and none, and
+/// Δ from unit buckets to buckets wider than most paths.
+void expectSharesMatchDijkstra(const Graph &G, VertexId Src) {
+  const std::vector<Priority> Expected = dijkstraRef(G, Src);
+  for (int Threads : {1, 2, 3, 4})
+    for (int64_t Threshold : {int64_t{1}, int64_t{1000}, int64_t{1} << 30})
+      for (int64_t Delta : {1, 64, 8192}) {
+        ScopedThreads Scope(Threads);
+        Schedule S;
+        S.Update = UpdateStrategy::EagerWithFusion;
+        S.FusionThreshold = Threshold;
+        S.Delta = Delta;
+        EXPECT_EQ(runEager(G, Src, S), Expected)
+            << "threads=" << Threads << " threshold=" << Threshold
+            << " delta=" << Delta;
+      }
+}
+
+} // namespace
+
+TEST(EagerShares, RoadGridMatchesDijkstraAcrossThreadsThresholdsDeltas) {
+  RoadNetwork Net = roadGrid(40, 40, 5);
+  BuildOptions Options;
+  Options.Symmetrize = true;
+  Graph G = GraphBuilder(Options).build(Net.NumNodes, Net.Edges);
+  expectSharesMatchDijkstra(G, 17);
+}
+
+TEST(EagerShares, RmatMatchesDijkstraAcrossThreadsThresholdsDeltas) {
+  std::vector<Edge> Edges = rmatEdges(12, 8, 31);
+  assignRandomWeights(Edges, 1, 1000, 9);
+  Graph G = GraphBuilder().build(Count{1} << 12, Edges);
+  expectSharesMatchDijkstra(G, 3);
+}
+
+TEST(EagerShares, StarSecondRoundIsStolenFromOneShare) {
+  // The center's relaxation pushes every leaf into one thread's bin, and
+  // threshold 1 keeps fusion from draining it: the whole second round
+  // sits in that thread's share, and the other threads can only help by
+  // stealing from it. Each vertex is processed exactly once.
+  const Count N = 20000;
+  Graph G = GraphBuilder().build(N, starEdges(N));
+  for (int Threads : {1, 2, 3, 4}) {
+    ScopedThreads Scope(Threads);
+    Schedule S;
+    S.Update = UpdateStrategy::EagerWithFusion;
+    S.FusionThreshold = 1;
+    S.Delta = 1;
+    OrderedStats Stats;
+    std::vector<Priority> Dist = runEager(G, 0, S, &Stats);
+    EXPECT_EQ(Dist[0], 0);
+    for (Count V = 1; V < N; ++V)
+      ASSERT_EQ(Dist[V], 1) << "leaf " << V << ", threads=" << Threads;
+    EXPECT_EQ(Stats.VerticesProcessed, N) << "threads=" << Threads;
+    EXPECT_EQ(Stats.Rounds, 2) << "threads=" << Threads;
+    EXPECT_EQ(Stats.FusedRounds, 0) << "threads=" << Threads;
+  }
 }

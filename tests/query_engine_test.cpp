@@ -21,8 +21,12 @@
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <map>
 #include <thread>
 
 using namespace graphit;
@@ -827,6 +831,88 @@ TEST(QueryEngineLive, SharedHotCacheServesCrossEngineHits) {
       << "shared cache: both engines report the cache-wide repair count";
 }
 
+TEST(QueryEngineLive, HotHitsRaceInPlaceRepairs) {
+  // Reader threads copy answers out of a hot state while applyUpdates
+  // repairs it. A repair writes the state in place once no reader holds
+  // it any more, so under TSan this checks that a reader's last reads are
+  // ordered before those writes. Every answer observed while the store's
+  // version stayed put must equal that version's Dijkstra distance.
+  Graph G = roadWithCoords(20, 83);
+  SnapshotStore Store(G);
+  QueryEngine::Options Opts;
+  Opts.NumWorkers = 2;
+  Opts.DefaultSchedule.Delta = 2048;
+  Opts.HotSourceCapacity = 4;
+  QueryEngine Engine(Store, Opts);
+
+  const VertexId Depot = 11;
+  Query Warm;
+  Warm.Kind = QueryKind::SSSP;
+  Warm.Source = Depot;
+  (void)Engine.runBatch({Warm});
+
+  struct Seen {
+    uint64_t Version;
+    VertexId Target;
+    Priority Dist;
+  };
+  std::atomic<bool> Done{false};
+  std::vector<std::vector<Seen>> Observed(2);
+  std::vector<std::thread> Readers;
+  for (size_t R = 0; R < Observed.size(); ++R)
+    Readers.emplace_back([&, R] {
+      SplitMix64 Rng(900 + R);
+      for (int I = 0; !Done.load(std::memory_order_acquire); ++I) {
+        // Every 8th query is the depot's SSSP: it re-warms the cache
+        // after a compaction drops it.
+        Query Q;
+        Q.Kind = I % 8 == 0 ? QueryKind::SSSP : QueryKind::PPSP;
+        Q.Source = Depot;
+        if (Q.Kind == QueryKind::PPSP)
+          Q.Target = static_cast<VertexId>(Rng.nextInt(0, G.numNodes()));
+        const uint64_t Before = Store.version();
+        QueryResult Res = Engine.collect(Engine.submit(Q));
+        if (Q.Kind == QueryKind::PPSP && Store.version() == Before)
+          Observed[R].push_back({Before, Q.Target, Res.Dist});
+      }
+    });
+
+  std::map<uint64_t, std::vector<Priority>> Reference;
+  SplitMix64 Rng(4242);
+  for (int Round = 0; Round < 40; ++Round) {
+    auto [Snap, Ver] = Store.currentVersioned();
+    Reference[Ver] = dijkstraSSSP(Snap->compact(), Depot);
+    // Let the readers take a few hot hits on this version (bounded wait)
+    // before the repair that follows.
+    const uint64_t Hits = Engine.hotHits();
+    for (int Wait = 0; Wait < 2000 && Engine.hotHits() < Hits + 4; ++Wait)
+      std::this_thread::sleep_for(std::chrono::microseconds(250));
+    // EXPECT, not ASSERT: returning early would skip joining the readers.
+    std::vector<EdgeUpdate> Batch = randomBatch(*Snap, 8, Rng);
+    EXPECT_EQ(static_cast<int>(Engine.applyUpdates(Batch).Status),
+              static_cast<int>(ApplyStatus::Ok));
+  }
+  {
+    auto [Snap, Ver] = Store.currentVersioned();
+    Reference[Ver] = dijkstraSSSP(Snap->compact(), Depot);
+  }
+  Done.store(true, std::memory_order_release);
+  for (std::thread &T : Readers)
+    T.join();
+
+  size_t Checked = 0;
+  for (const std::vector<Seen> &Log : Observed)
+    for (const Seen &O : Log) {
+      ASSERT_TRUE(Reference.count(O.Version)) << "version " << O.Version;
+      ASSERT_EQ(O.Dist, Reference[O.Version][O.Target])
+          << "version " << O.Version << " target " << O.Target;
+      ++Checked;
+    }
+  EXPECT_GT(Checked, 0u);
+  EXPECT_GT(Engine.hotHits(), 40u);
+  EXPECT_GT(Engine.hotRepairs(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Importance classes: (kind × class) EWMA isolation and the feedback
 // controller.
@@ -873,6 +959,11 @@ TEST(QueryEngineClasses, EwmaIsolationAcrossImportanceClasses) {
   Slow.Sched = scheduleFor(0);
   Slow.Sched->configApplyPriorityUpdateDelta(1);
   Slow.Importance = 3;
+  // Release this thread's idle OpenMP pool first. After the graph build
+  // its threads spin for milliseconds and hold the other cores, so the
+  // woken worker takes this thread's core, and the submits below would
+  // run only after the slow query, with nothing left in the queue.
+  omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   while (Engine.queueDepth() > 0)
     std::this_thread::yield();

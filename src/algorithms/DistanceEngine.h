@@ -55,32 +55,9 @@ struct NoTouchFn {
   void operator()(VertexId, VertexId) const {}
 };
 
-/// Priority -> bucket-key coarsening. Δ is a power of two in practically
-/// every schedule (the autotuner space is all powers of two), and the
-/// coarsening runs once per relaxation *and* once per push on the hottest
-/// path — a runtime integer division there costs tens of cycles per edge
-/// that a shift does not. Priorities are non-negative, so the shift is
-/// exact.
-struct PriorityCoarsener {
-  int64_t Delta;
-  int Shift; ///< log2(Delta) when Delta is a power of two, else -1
-
-  static PriorityCoarsener of(int64_t Delta) {
-    const bool Pow2 = Delta > 0 && (Delta & (Delta - 1)) == 0;
-    return PriorityCoarsener{Delta,
-                             Pow2 ? __builtin_ctzll(
-                                        static_cast<uint64_t>(Delta))
-                                  : -1};
-  }
-
-  int64_t key(Priority P) const {
-    return Shift >= 0 ? (P >> Shift) : (P / Delta);
-  }
-};
-
 /// The eager engine's relaxation closure over a distance array: re-checks
-/// staleness against the current bucket key, CASes improvements in, and
-/// pushes improved neighbors at their coarsened key.
+/// staleness against the fine key being processed, CASes improvements in,
+/// and pushes improved neighbors at their fine key.
 template <typename GraphT, typename HeurFn, typename TouchFn>
 auto makeEagerRelax(const GraphT &G, std::vector<Priority> &Dist,
                     const int64_t Delta, HeurFn &Heur, TouchFn &Touch) {
@@ -98,8 +75,8 @@ auto makeEagerRelax(const GraphT &G, std::vector<Priority> &Dist,
     // the pre-check needs no ordering (atomicWriteMin re-validates) but
     // a plain load would be a data race.
     Priority DU = Concurrent ? atomicLoadRelaxed(&Dist[U]) : Dist[U];
-    if (C.key(DU + Heur(U)) < CurrKey)
-      return; // stale: settled in an earlier bucket
+    if (C.fineKey(DU + Heur(U)) < CurrKey)
+      return; // stale: settled under an earlier key
     auto R = G.outNeighbors(U);
     const Count Deg = R.size();
     for (Count I = 0; I < Deg; ++I) {
@@ -121,8 +98,7 @@ auto makeEagerRelax(const GraphT &G, std::vector<Priority> &Dist,
       }
       if (Improved) {
         Touch(V, U);
-        int64_t Key = C.key(ND + Heur(V));
-        Push(V, std::max(Key, CurrKey));
+        Push(V, std::max(C.fineKey(ND + Heur(V)), CurrKey));
       }
     }
   };
@@ -237,8 +213,10 @@ OrderedStats distanceOrderedRun(const GraphT &G, VertexId Source,
 
   if (S.isEager()) {
     auto Relax = makeEagerRelax(G, Dist, Delta, Heur, Touch);
-    eagerOrderedProcess(G.numNodes(), Source, Heur(Source) / Delta, S,
-                        Relax, Stop, &Stats,
+    const int64_t SourceKey =
+        PriorityCoarsener::of(Delta).fineKey(Heur(Source));
+    eagerOrderedProcess(G.numNodes(), Source, SourceKey, S, Relax, Stop,
+                        &Stats,
                         [&G, &Dist](VertexId V) {
                           prefetchWrite(&Dist[V]);
                           G.prefetchOutRow(V);
@@ -276,10 +254,11 @@ OrderedStats distanceOrderedSeededRun(const GraphT &G,
 
   if (S.isEager()) {
     auto Relax = makeEagerRelax(G, Dist, Delta, Heur, Touch);
+    const PriorityCoarsener C = PriorityCoarsener::of(Delta);
     std::vector<std::pair<VertexId, int64_t>> SeedKeys;
     SeedKeys.reserve(Seeds.size());
     for (VertexId V : Seeds)
-      SeedKeys.push_back({V, Dist[V] / Delta});
+      SeedKeys.push_back({V, C.fineKey(Dist[V])});
     eagerOrderedProcessSeeds(
         G.numNodes(), SeedKeys.data(), static_cast<Count>(SeedKeys.size()),
         S, Relax, Stop, &Stats, [&G, &Dist](VertexId V) {

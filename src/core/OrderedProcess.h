@@ -15,29 +15,46 @@
 ///   - each thread owns a `LocalBinWindow`, a sliding circular window of
 ///     buckets keyed by coarsened priority (keys beyond the window go to a
 ///     per-thread overflow list that is migrated as the window slides),
-///     and a *round share*: its slice of the current global round;
+///     `kSubBins` sub-bins for the round's own bucket, and a *round share*:
+///     its slice of the current global round;
+///   - callers push *fine keys*, ⌊kSubBins·priority/Δ⌋ (`PriorityCoarsener`).
+///     The bucket key is `coarseKey(Fine)`; a push into the round's bucket
+///     lands in the sub-bin named by the fine key's low bits, any other
+///     push in the window bin of its bucket;
 ///   - a round relaxes every share, pushing improved vertices into
 ///     thread-local bins — no atomics on buckets. A thread works through
 ///     its own share first, claiming `kDynamicGrain`-vertex chunks with a
 ///     fetch-and-add on the share's cursor, then steals chunks from the
 ///     other shares the same way. Most of a round therefore runs on the
 ///     thread that pushed it, next to the region it just relaxed;
-///   - bucket fusion: while a thread's bin for the *current* key is
-///     non-empty and below `FusionThreshold`, the thread drains it
-///     immediately, with no global barrier (same-priority rounds fuse;
-///     ordering is preserved because only equal-priority work is executed);
-///   - threads then propose the minimum non-empty bin key — an O(1)
-///     amortized resume from a tracked per-thread minimum, folded into the
-///     shared next key with an atomic min (no critical section). After the
-///     first barrier each thread swaps its bin for the agreed key into its
-///     own share: no copy, and no shared O(E) frontier. The swap recycles
-///     storage both ways, and the window is circular, so a slot whose key
-///     has passed is reused (still warm) for the keys that slide into it.
+///   - bucket fusion: while the thread's lowest non-empty sub-bin is below
+///     `FusionThreshold`, the thread drains it immediately, with no global
+///     barrier. Lowest first means each thread settles its region of the
+///     bucket in close to Dijkstra order, so few vertices are expanded at
+///     a distance a lighter path improves later in the same bucket;
+///   - threads then propose the minimum non-empty bucket key — the round's
+///     own key while any sub-bin holds work, else an O(1) amortized resume
+///     from a tracked per-thread minimum — folded into the shared next key
+///     with an atomic min (no critical section). After the first barrier
+///     each thread moves the agreed key's work into its own share: its
+///     sub-bins concatenated in key order when the key repeats, otherwise
+///     its window bin by swap (no copy, and no shared O(E) frontier). The
+///     swap recycles storage both ways, and the window is circular, so a
+///     slot whose key has passed is reused (still warm) for the keys that
+///     slide into it.
+///
+/// Global rounds, the window, `Stop` and the cancellation key stay in
+/// bucket keys, so a global round processes one Δ-bucket and the settled
+/// prefix below `CancelKey * Δ` holds exactly as in classic Δ-stepping.
+/// With Δ=1 every fine key falls in sub-bin 0 and the engine behaves as a
+/// single bin per bucket.
 ///
 /// The engine is generic over the relaxation: `Relax(U, CurrKey, Push)`
-/// re-checks staleness and calls `Push(V, Key)` for every improved
-/// neighbor. A `Stop` predicate evaluated at round boundaries supports the
-/// early exits of PPSP and A* (it must read only round-stable state so all
+/// re-checks staleness against the fine key `CurrKey` (the bucket's first
+/// fine key in a global round, the sub-bin's in a fused drain) and calls
+/// `Push(V, Fine)` for every improved neighbor. A `Stop` predicate
+/// evaluated at round boundaries on the bucket key supports the early
+/// exits of PPSP and A* (it must read only round-stable state so all
 /// threads decide identically).
 ///
 //===----------------------------------------------------------------------===//
@@ -65,8 +82,8 @@ namespace graphit {
 
 /// Counters reported by the ordered engines. `Rounds` counts globally
 /// synchronized rounds (each costs two barriers in the eager engine);
-/// `FusedRounds` counts the extra rounds bucket fusion executed locally —
-/// Table 6 reports `Rounds` with and without fusion.
+/// `FusedRounds` counts the sub-bin drains bucket fusion executed locally,
+/// summed over threads — Table 6 reports `Rounds` with and without fusion.
 struct OrderedStats {
   int64_t Rounds = 0;
   int64_t FusedRounds = 0;
@@ -102,6 +119,54 @@ struct OrderedStats {
 inline constexpr int64_t kMaxEagerKey =
     std::numeric_limits<int64_t>::max() / 2;
 
+/// The bucket key a fine key refines.
+inline constexpr int64_t coarseKey(int64_t Fine) { return Fine >> kSubBinBits; }
+
+/// Priority -> key coarsening, shared by every caller of the ordered
+/// engines. The bucket key of priority P is ⌊P/Δ⌋; the eager engine takes
+/// the fine key ⌊kSubBins·P/Δ⌋, whose bucket key is the same. Δ is a power
+/// of two in practically every schedule (the autotuner space is all powers
+/// of two), and the coarsening runs once per relaxation *and* once per
+/// push on the hottest path — a runtime integer division there costs tens
+/// of cycles per edge that a shift does not. Priorities are non-negative,
+/// so the shifts are exact.
+struct PriorityCoarsener {
+  /// Fine keys saturate at this priority so they stay below
+  /// `kMaxEagerKey` for every Δ ≥ 1. Only "unreachable" heuristic bounds
+  /// (LandmarkCache::kUnreachableBound) come near it; merging them into
+  /// one bucket keeps every key monotone in priority, which is all the
+  /// settled-prefix argument needs.
+  static constexpr Priority kMaxFinePriority =
+      (kMaxEagerKey >> kSubBinBits) - 1;
+
+  int64_t Delta;
+  int Shift; ///< log2(Delta) when Delta is a power of two, else -1
+
+  static PriorityCoarsener of(int64_t Delta) {
+    const bool Pow2 = Delta > 0 && (Delta & (Delta - 1)) == 0;
+    return PriorityCoarsener{Delta,
+                             Pow2 ? __builtin_ctzll(
+                                        static_cast<uint64_t>(Delta))
+                                  : -1};
+  }
+
+  /// Bucket key ⌊P/Δ⌋.
+  int64_t key(Priority P) const {
+    return Shift >= 0 ? (P >> Shift) : (P / Delta);
+  }
+
+  /// Fine key ⌊kSubBins·P/Δ⌋ (saturating at `kMaxFinePriority`).
+  int64_t fineKey(Priority P) const {
+    assert(P >= 0 && "priorities are non-negative");
+    P = std::min(P, kMaxFinePriority);
+    if (Shift >= kSubBinBits)
+      return P >> (Shift - kSubBinBits);
+    if (Shift >= 0)
+      return P << (kSubBinBits - Shift);
+    return (P << kSubBinBits) / Delta;
+  }
+};
+
 /// Default (no-op) per-vertex prefetch hook for the eager engine's frontier
 /// loops. Distance algorithms pass a hook that prefetches `Dist[V]` for the
 /// frontier vertex a few slots ahead — the first scattered load `Relax`
@@ -112,14 +177,18 @@ struct NoVertexPrefetch {
 
 namespace detail {
 
-/// Per-thread bucket store of the eager engine: a sliding circular window
-/// of `WindowSize` bins over coarsened keys plus an overflow list for keys
-/// beyond it.
+/// Per-thread bucket store of the eager engine: `kSubBins` sub-bins for
+/// the round's bucket (`Base`), a sliding circular window of `WindowSize`
+/// bins over later bucket keys, and an overflow list for keys beyond it.
 ///
 /// Invariants:
 ///  - all bins with keys below `Base` are empty (the global round key is
 ///    monotonically non-decreasing, and `advanceTo` only moves `Base` to a
 ///    key every thread agreed no earlier work exists for);
+///  - the window bin of `Base` is empty during a round: the engine moves
+///    it into the round's share, and work for `Base` goes to sub-bins;
+///  - the sub-bins are empty whenever `Base` advances (a thread with
+///    sub-bin work proposes `Base`, so the agreed key cannot pass it);
 ///  - `MinKey` is a lower bound on the smallest non-empty in-window key,
 ///    so `proposeMin` resumes where the previous scan stopped instead of
 ///    rescanning from key 0 — O(1) amortized per round;
@@ -136,14 +205,23 @@ public:
                                                                 2)))),
         Window(static_cast<int64_t>(Slots.size())) {}
 
-  /// Files \p V under \p Key. Keys below the window base (possible only
-  /// with ε-inconsistent A* heuristics) are clamped up to it, which
-  /// re-processes the vertex in the current bucket — the same behavior the
-  /// engine's callers implement by clamping pushed keys at `CurrKey`.
-  void push(VertexId V, int64_t Key) {
-    assert(Key >= 0 && Key < kMaxEagerKey && "bad bucket key");
-    if (Key < Base)
-      Key = Base;
+  /// Files \p V under fine key \p Fine. A key in the round's bucket goes to
+  /// the sub-bin its low bits name; a later one to its bucket's window bin
+  /// or, beyond the window, to the overflow list. A key below the round's
+  /// bucket (possible only with an inconsistent heuristic, which AStar.h
+  /// forbids) goes to sub-bin 0, where the relaxation's staleness check
+  /// drops it unprocessed — as it drops the keys callers clamp up to
+  /// `CurrKey`.
+  void push(VertexId V, int64_t Fine) {
+    assert(Fine >= 0 && Fine < kMaxEagerKey && "bad bucket key");
+    const int64_t Key = coarseKey(Fine);
+    if (Key <= Base) {
+      const int Sub =
+          Key == Base ? static_cast<int>(Fine & (kSubBins - 1)) : 0;
+      SubBins[Sub].push_back(V);
+      SubMask |= 1u << Sub;
+      return;
+    }
     if (Key >= Base + Window) {
       Overflow.push_back({Key, V});
       OverflowMin = std::min(OverflowMin, Key);
@@ -161,9 +239,47 @@ public:
     return Key >= Base && Key < Base + Window && !Slots[slotOf(Key)].empty();
   }
 
-  /// Smallest key with pending work, or kMaxEagerKey. Resumes the scan at
+  /// The lowest non-empty sub-bin of the round's bucket, or -1.
+  int lowestSubBin() const { return SubMask ? __builtin_ctz(SubMask) : -1; }
+
+  /// Sub-bin \p I of the round's bucket.
+  const std::vector<VertexId> &subBin(int I) const { return SubBins[I]; }
+
+  /// Swaps sub-bin \p I's entries into the empty \p Out; the sub-bin keeps
+  /// \p Out's storage.
+  void takeSubBin(int I, std::vector<VertexId> &Out) {
+    assert(Out.empty() && "sub-bin drained into a non-empty buffer");
+    std::swap(Out, SubBins[I]);
+    SubMask &= ~(1u << I);
+  }
+
+  /// Moves every sub-bin's entries into the empty \p Out, concatenated in
+  /// key order — the share of a round that repeats its key. A single
+  /// non-empty sub-bin is swapped in, as a window bin is.
+  void takeSubBins(std::vector<VertexId> &Out) {
+    assert(Out.empty() && "sub-bins drained into a non-empty buffer");
+    if ((SubMask & (SubMask - 1)) == 0) {
+      if (SubMask)
+        takeSubBin(lowestSubBin(), Out);
+      return;
+    }
+    size_t Total = 0;
+    for (const std::vector<VertexId> &Sub : SubBins)
+      Total += Sub.size();
+    Out.reserve(Total);
+    for (std::vector<VertexId> &Sub : SubBins) {
+      Out.insert(Out.end(), Sub.begin(), Sub.end());
+      Sub.clear();
+    }
+    SubMask = 0;
+  }
+
+  /// Smallest bucket key with pending work, or kMaxEagerKey: the round's
+  /// own key while a sub-bin holds work, else a scan that resumes at
   /// `MinKey`; every empty slot is skipped at most once per window pass.
   int64_t proposeMin() {
+    if (SubMask)
+      return Base;
     const int64_t End = Base + Window;
     while (MinKey < End && Slots[slotOf(MinKey)].empty())
       ++MinKey;
@@ -172,14 +288,24 @@ public:
 
   /// Slides the window so it starts at \p NewBase (the key the round
   /// agreed to process next) and migrates overflow entries that now fall
-  /// inside it.
+  /// inside it; those for `NewBase` itself become sub-bin 0.
   void advanceTo(int64_t NewBase) {
     if (NewBase >= kMaxEagerKey || NewBase <= Base)
       return;
+    assert(SubMask == 0 && "sub-bins hold work as the round key advances");
     Base = NewBase;
     MinKey = std::max(MinKey, Base);
-    if (OverflowMin < Base + Window)
+    if (OverflowMin < Base + Window) {
+      // The migration loop runs over the whole overflow list, often every
+      // round; it stays a plain filing pass, and the one slot that must
+      // not hold work during a round is handed over afterwards.
       migrateOverflow();
+      std::vector<VertexId> &Own = Slots[slotOf(Base)];
+      if (!Own.empty()) {
+        std::swap(SubBins[0], Own);
+        SubMask = 1u;
+      }
+    }
   }
 
 private:
@@ -216,11 +342,13 @@ private:
   }
 
   std::vector<std::vector<VertexId>> Slots;
+  std::vector<VertexId> SubBins[kSubBins];
   std::vector<std::pair<int64_t, VertexId>> Overflow;
   int64_t Window;
   int64_t Base = 0;
   int64_t MinKey = kMaxEagerKey;
   int64_t OverflowMin = kMaxEagerKey;
+  unsigned SubMask = 0; ///< bit I set iff SubBins[I] is non-empty
 };
 
 /// One thread's slice of a global round: the bin it swapped in for the
@@ -236,20 +364,21 @@ struct alignas(64) RoundShare {
 } // namespace detail
 
 /// Runs the eager ordered processing loop (with or without bucket fusion,
-/// per `S.Update`) from an arbitrary set of (vertex, key) seeds — the
+/// per `S.Update`) from an arbitrary set of (vertex, fine key) seeds — the
 /// multi-source entry incremental distance repair uses to resume from an
-/// affected boundary instead of the single original source. Keys must be
-/// non-negative and monotonically non-decreasing up to the tolerance
-/// handled by clamping in the caller.
+/// affected boundary instead of the single original source. Keys are fine
+/// keys (`PriorityCoarsener::fineKey`); they must be non-negative and
+/// monotonically non-decreasing up to the tolerance handled by clamping in
+/// the caller.
 ///
 /// \param NumNodes   vertex universe size (seed sanity checks)
-/// \param Seeds      initial (vertex, bucket key) pairs; processing starts
-///                   at the minimum seeded key
+/// \param Seeds      initial (vertex, fine key) pairs; processing starts at
+///                   the minimum seeded bucket
 /// \param NumSeeds   number of seeds (0 is a no-op)
-/// \param Relax      `(VertexId U, int64_t CurrKey, Push)`;
-///                   `Push(VertexId V, int64_t Key)`
-/// \param Stop       `(int64_t CurrKey) -> bool`, checked at round start on
-///                   round-stable data
+/// \param Relax      `(VertexId U, int64_t CurrKey, Push)` with the fine
+///                   key being processed; `Push(VertexId V, int64_t Fine)`
+/// \param Stop       `(int64_t BucketKey) -> bool`, checked at round start
+///                   on round-stable data
 /// \param VPrefetch  `(VertexId V)`, called for the share entry a few slots
 ///                   ahead of the one being relaxed
 /// \param Cancel     optional cooperative cancellation token. It is polled
@@ -280,8 +409,8 @@ void eagerOrderedProcessSeeds(Count NumNodes,
   Timer Clock;
   // One share per thread the region can start (a team is never larger
   // than omp_get_max_threads() without a num_threads clause). The first
-  // round is the minimum seed key's vertices, all in thread 0's share —
-  // the other threads steal from it. Later-keyed seeds are filed into
+  // round is the minimum seed bucket's vertices, all in thread 0's share —
+  // the other threads steal from it. Later-bucket seeds are filed into
   // thread 0's local bins inside the region (they surface through the
   // ordinary min-key proposal).
   std::vector<detail::RoundShare> Shares(
@@ -290,10 +419,10 @@ void eagerOrderedProcessSeeds(Count NumNodes,
   for (Count I = 0; I < NumSeeds; ++I) {
     assert(static_cast<Count>(Seeds[I].first) < NumNodes &&
            "seed out of range");
-    MinSeedKey = std::min(MinSeedKey, Seeds[I].second);
+    MinSeedKey = std::min(MinSeedKey, coarseKey(Seeds[I].second));
   }
   for (Count I = 0; I < NumSeeds; ++I)
-    if (Seeds[I].second == MinSeedKey)
+    if (coarseKey(Seeds[I].second) == MinSeedKey)
       Shares[0].Items.push_back(Seeds[I].first);
   int64_t SharedKeys[2] = {MinSeedKey, kMaxEagerKey};
 
@@ -333,23 +462,30 @@ void eagerOrderedProcessSeeds(Count NumNodes,
     int64_t LocalVerts = 0;
     int64_t Iter = 0;
 
-    auto Push = [&Bins](VertexId V, int64_t Key) { Bins.push(V, Key); };
+    auto Push = [&Bins](VertexId V, int64_t Fine) { Bins.push(V, Fine); };
 
-    // One thread files the seeds beyond the first round's key; they are
-    // few (a repair's affected boundary), so load balance is unaffected.
+    // The window starts at the first round's bucket, so no later seed is
+    // filed as sub-bin work. One thread files those seeds; they are few (a
+    // repair's affected boundary), so load balance is unaffected.
+    Bins.advanceTo(MinSeedKey);
     if (Tid == 0)
       for (Count I = 0; I < NumSeeds; ++I)
-        if (Seeds[I].second != MinSeedKey)
+        if (coarseKey(Seeds[I].second) != MinSeedKey)
           Bins.push(Seeds[I].first, Seeds[I].second);
 
     while (!CancelLatched && SharedKeys[Iter & 1] != kMaxEagerKey &&
            !Stop(SharedKeys[Iter & 1])) {
       int64_t &CurrKey = SharedKeys[Iter & 1];
       int64_t &NextKey = SharedKeys[(Iter + 1) & 1];
+      // CurrKey is reset for reuse between the barriers below; keep the
+      // round's key for the share hand-off.
+      const int64_t RoundKey = CurrKey;
+      const int64_t RoundFine = RoundKey << kSubBinBits;
 
-      // All bins below CurrKey are globally empty (CurrKey won the round's
-      // min-reduction): slide the window forward, migrating overflow.
-      Bins.advanceTo(CurrKey);
+      // All bins below the round key are globally empty (it won the
+      // round's min-reduction): slide the window forward, migrating
+      // overflow.
+      Bins.advanceTo(RoundKey);
 
       // Own share first, then steal from the others in ring order. Shares
       // are read-only during a round; only their cursors move.
@@ -368,28 +504,33 @@ void eagerOrderedProcessSeeds(Count NumNodes,
             // are the first scattered loads their relaxation performs.
             if (I + kPrefetchDistance < Size)
               VPrefetch(Items[I + kPrefetchDistance]);
-            Relax(Items[I], CurrKey, Push);
+            Relax(Items[I], RoundFine, Push);
           }
         }
       }
 
-      // Bucket fusion (Fig. 7 lines 14-21): drain the current local bucket
-      // without synchronizing, as long as it stays below the threshold
-      // (large buckets go to the next global round for load balance). The
-      // swap recycles storage both ways: the slot inherits DrainBuf's
-      // cleared capacity, DrainBuf inherits the slot's elements.
+      // Bucket fusion (Fig. 7 lines 14-21): drain the lowest non-empty
+      // sub-bin of the round's bucket without synchronizing, as long as it
+      // stays below the threshold (large sub-bins go to the next global
+      // round for load balance). Relaxations push into the same or higher
+      // sub-bins, so the drains follow priority order. The swap recycles
+      // storage both ways: the sub-bin inherits DrainBuf's cleared
+      // capacity, DrainBuf inherits the sub-bin's elements.
       if (Fuse) {
-        while (Bins.nonEmptyAt(CurrKey) &&
-               static_cast<int64_t>(Bins.bin(CurrKey).size()) < Threshold) {
+        for (int Sub = Bins.lowestSubBin();
+             Sub >= 0 &&
+             static_cast<int64_t>(Bins.subBin(Sub).size()) < Threshold;
+             Sub = Bins.lowestSubBin()) {
           DrainBuf.clear();
-          std::swap(DrainBuf, Bins.bin(CurrKey));
+          Bins.takeSubBin(Sub, DrainBuf);
           ++LocalFused;
+          const int64_t SubFine = RoundFine | Sub;
           const int64_t DrainSize = static_cast<int64_t>(DrainBuf.size());
           LocalVerts += DrainSize;
           for (int64_t K = 0; K < DrainSize; ++K) {
             if (K + kPrefetchDistance < DrainSize)
               VPrefetch(DrainBuf[static_cast<size_t>(K + kPrefetchDistance)]);
-            Relax(DrainBuf[static_cast<size_t>(K)], CurrKey, Push);
+            Relax(DrainBuf[static_cast<size_t>(K)], SubFine, Push);
           }
         }
       }
@@ -419,10 +560,13 @@ void eagerOrderedProcessSeeds(Count NumNodes,
       }
 
       // Every share was drained before the barrier above: hand this
-      // thread's bin for the next key to its share, and the share's
-      // cleared storage to the bin slot.
+      // thread's work for the next key to its share — the sub-bins when
+      // the round repeats its key, else the window bin — and the share's
+      // cleared storage to the bin.
       Own.Items.clear();
-      if (Bins.nonEmptyAt(NextKey))
+      if (NextKey == RoundKey)
+        Bins.takeSubBins(Own.Items);
+      else if (Bins.nonEmptyAt(NextKey))
         std::swap(Own.Items, Bins.bin(NextKey));
       Own.Next = 0;
       ++Iter;
@@ -446,7 +590,7 @@ void eagerOrderedProcessSeeds(Count NumNodes,
 }
 
 /// Single-source form: the classical entry point (SSSP and friends seed
-/// one vertex — the source at key 0, or ⌊h(s)/Δ⌋ for A*).
+/// one vertex — the source at fine key 0, or the fine key of h(s) for A*).
 template <typename RelaxFn, typename StopFn,
           typename VPrefetchFn = NoVertexPrefetch>
 void eagerOrderedProcess(Count NumNodes, VertexId Source, int64_t SourceKey,

@@ -13,7 +13,7 @@
 ///   configApplyPriorityUpdate      eager_with_fusion | eager_no_fusion |
 ///                                  lazy | lazy_constant_sum
 ///   configApplyPriorityUpdateDelta priority-coarsening factor Δ
-///   configBucketFusionThreshold    local-bucket size cap for fusion
+///   configBucketFusionThreshold    size cap per fused sub-bin
 ///   configNumBuckets               materialized lazy buckets
 ///   configApplyDirection           SparsePush | DensePull | Hybrid
 ///   configApplyParallelization     serial | static | dynamic vertex

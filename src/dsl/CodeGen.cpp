@@ -374,10 +374,13 @@ private:
     line("// #" + L.Label + "# eager ordered processing (Fig. 9(c))");
     line("Schedule GenSched = Schedule::parse(\"" + S.toString() + "\");");
     line("const int64_t GenDelta = " + Delta + ";");
+    line("const PriorityCoarsener GenKeys = PriorityCoarsener::of(GenDelta);");
     line("OrderedStats GenStats;");
+    // The engine hands the relax fine keys (sub-bins of a Δ-bucket).
     open("auto GenRelax = [&](VertexId " + Src +
          ", int64_t gen_curr_key, auto &&gen_push) {");
-    line("if (" + Vec + "[" + Src + "] / GenDelta < gen_curr_key) return;");
+    line("if (GenKeys.fineKey(" + Vec + "[" + Src +
+         "]) < gen_curr_key) return;");
     open("for (WNode GenEdge : " + L.EdgesetName + ".outNeighbors(" + Src +
          ")) {");
     line("VertexId " + Dst + " = GenEdge.V; (void)" + Dst + ";");
@@ -393,9 +396,9 @@ private:
         B.StartVertex ? exprToCpp(*B.StartVertex, nullptr) : "0";
     line("auto GenStop = " + stopLambda(L, B, "GenDelta") + ";");
     line("eagerOrderedProcess(" + L.EdgesetName +
-         ".numNodes(), static_cast<VertexId>(" + Start + "), " + Vec +
-         "[static_cast<size_t>(" + Start +
-         ")] / GenDelta, GenSched, GenRelax, GenStop, &GenStats);");
+         ".numNodes(), static_cast<VertexId>(" + Start +
+         "), GenKeys.fineKey(" + Vec + "[static_cast<size_t>(" + Start +
+         ")]), GenSched, GenRelax, GenStop, &GenStats);");
     line("std::printf(\"[" + L.Label +
          "] rounds=%lld fused=%lld\\n\", (long long)GenStats.Rounds, "
          "(long long)GenStats.FusedRounds);");
@@ -756,6 +759,9 @@ private:
         M.Method == "get_current_priority") {
       if (CurrentUpdateLowering == UpdateLowering::Facade)
         return PQName + "->getCurrentPriority()";
+      // The eager relax sees fine keys; the UDF sees its bucket's key.
+      if (CurrentUpdateLowering == UpdateLowering::EagerPush)
+        return "(coarseKey(gen_curr_key))";
       return "(gen_curr_key)"; // specialized engines expose the key
     }
     if (M.Method == "finished")
@@ -795,7 +801,7 @@ private:
              "); if (GenNew < atomicLoadRelaxed(&" + Vec + "[" + Target +
              "]) && atomicWriteMin(&" + Vec + "[" + Target +
              "], GenNew)) gen_push(" + Target +
-             ", std::max(GenNew / GenDelta, gen_curr_key)); }()";
+             ", std::max(GenKeys.fineKey(GenNew), gen_curr_key)); }()";
     case UpdateLowering::LazyPush:
       // Atomic update + tracking variable (dedup handled by the
       // traversal engine, Fig. 9(a) line 21).

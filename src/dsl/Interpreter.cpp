@@ -341,21 +341,23 @@ private:
     };
 
     OrderedStats Stats;
+    const PriorityCoarsener C = PriorityCoarsener::of(Delta);
     auto Relax = [&](VertexId U, int64_t CurrKey, auto &&Push) {
       // Relaxed atomic pre-checks: concurrent relaxations CAS these slots.
-      if (atomicLoadRelaxed(&Prio[U]) / Delta < CurrKey)
+      if (C.fineKey(atomicLoadRelaxed(&Prio[U])) < CurrKey)
         return;
       PQSink Sink;
       Sink.Min = [&](VertexId V, Priority NewVal) {
         if (NewVal < atomicLoadRelaxed(&Prio[V]) &&
             atomicWriteMin(&Prio[V], NewVal))
-          Push(V, std::max(NewVal / Delta, CurrKey));
+          Push(V, std::max(C.fineKey(NewVal), CurrKey));
       };
-      Sink.CurrentPriority = [&]() { return CurrKey * Delta; };
+      // The UDF sees the bucket's priority, not the sub-bin's.
+      Sink.CurrentPriority = [&]() { return coarseKey(CurrKey) * Delta; };
       for (WNode Edge : G.outNeighbors(U))
         evalUDF(*F, U, Edge.V, Edge.W, Sink);
     };
-    eagerOrderedProcess(G.numNodes(), Q.Start, Prio[Q.Start] / Delta, S,
+    eagerOrderedProcess(G.numNodes(), Q.Start, C.fineKey(Prio[Q.Start]), S,
                         Relax, Stop, &Stats);
     LastStats = Stats;
   }

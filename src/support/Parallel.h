@@ -46,6 +46,13 @@ void setNumWorkers(int NumWorkers);
 /// the paper's generated code (Fig. 9(c), line 15).
 inline constexpr int kDynamicGrain = 64;
 
+/// The eager engine's bucket fusion drains each thread's part of the
+/// current Δ-bucket in this many priority-ordered sub-bins
+/// (core/OrderedProcess.h). A fine key carries `kSubBinBits` more bits than
+/// the bucket key it refines.
+inline constexpr int kSubBinBits = 3;
+inline constexpr int kSubBins = 1 << kSubBinBits;
+
 /// Below this trip count a parallel region costs more than it saves; the
 /// loop runs inline on the calling thread. Ordered algorithms hit this
 /// constantly (road-network buckets hold a handful of vertices).

@@ -12,6 +12,7 @@
 
 #include "core/OrderedProcess.h"
 
+#include "algorithms/DistanceEngine.h"
 #include "graph/Builder.h"
 #include "graph/Generators.h"
 #include "support/Parallel.h"
@@ -47,22 +48,27 @@ std::vector<Priority> dijkstraRef(const Graph &G, VertexId Src) {
 }
 
 /// Runs delta-stepping through the eager engine and returns distances.
+/// \p Expanded, when given, records every vertex the relaxation expands
+/// (not the stale entries it drops), in order; single-threaded runs only.
 std::vector<Priority> runEager(const Graph &G, VertexId Src,
                                const Schedule &S,
-                               OrderedStats *Stats = nullptr) {
+                               OrderedStats *Stats = nullptr,
+                               std::vector<VertexId> *Expanded = nullptr) {
   std::vector<Priority> Dist(G.numNodes(), kInfiniteDistance);
   Dist[Src] = 0;
-  int64_t Delta = S.Delta;
+  const PriorityCoarsener C = PriorityCoarsener::of(S.Delta);
   auto Relax = [&](VertexId U, int64_t CurrKey, auto &&Push) {
     // Relaxed atomic pre-checks: concurrent relaxations CAS these slots.
     Priority DU = atomicLoadRelaxed(&Dist[U]);
-    if (DU / Delta < CurrKey)
-      return; // stale entry, already settled in an earlier bucket
+    if (C.fineKey(DU) < CurrKey)
+      return; // stale entry, already settled under an earlier key
+    if (Expanded)
+      Expanded->push_back(U);
     for (WNode E : G.outNeighbors(U)) {
       Priority ND = DU + E.W;
       if (ND < atomicLoadRelaxed(&Dist[E.V]) &&
           atomicWriteMin(&Dist[E.V], ND))
-        Push(E.V, ND / Delta);
+        Push(E.V, C.fineKey(ND));
     }
   };
   eagerOrderedProcess(G.numNodes(), Src, 0, S, Relax,
@@ -178,13 +184,14 @@ TEST(EagerEngine, StopPredicateCutsExecution) {
   Dist[0] = 0;
   Schedule S;
   S.Update = UpdateStrategy::EagerWithFusion;
+  const PriorityCoarsener C = PriorityCoarsener::of(S.Delta);
   auto Relax = [&](VertexId U, int64_t CurrKey, auto &&Push) {
-    if (Dist[U] < CurrKey)
+    if (C.fineKey(Dist[U]) < CurrKey)
       return;
     for (WNode E : G.outNeighbors(U)) {
       Priority ND = Dist[U] + E.W;
       if (ND < Dist[E.V] && atomicWriteMin(&Dist[E.V], ND))
-        Push(E.V, ND);
+        Push(E.V, C.fineKey(ND));
     }
   };
   OrderedStats Stats;
@@ -273,22 +280,30 @@ namespace {
 
 /// Every share/steal configuration on \p G from \p Src must reproduce
 /// Dijkstra exactly: thread counts 1-4 (one share each, so 2-4 steal),
-/// fusion thresholds that fuse every bucket, the default, and none, and
-/// Δ from unit buckets to buckets wider than most paths.
+/// fusion thresholds that fuse every sub-bin, the default, and none, with
+/// fusion off as well, and Δ from unit buckets to buckets wider than most
+/// paths. Δ=2 uses two of the eight sub-bins per bucket; 17 and 1000 take
+/// the division form of the fine key.
 void expectSharesMatchDijkstra(const Graph &G, VertexId Src) {
   const std::vector<Priority> Expected = dijkstraRef(G, Src);
   for (int Threads : {1, 2, 3, 4})
-    for (int64_t Threshold : {int64_t{1}, int64_t{1000}, int64_t{1} << 30})
-      for (int64_t Delta : {1, 64, 8192}) {
-        ScopedThreads Scope(Threads);
-        Schedule S;
-        S.Update = UpdateStrategy::EagerWithFusion;
-        S.FusionThreshold = Threshold;
-        S.Delta = Delta;
-        EXPECT_EQ(runEager(G, Src, S), Expected)
-            << "threads=" << Threads << " threshold=" << Threshold
-            << " delta=" << Delta;
-      }
+    for (UpdateStrategy Update :
+         {UpdateStrategy::EagerWithFusion, UpdateStrategy::EagerNoFusion})
+      for (int64_t Threshold : {int64_t{1}, int64_t{1000}, int64_t{1} << 30})
+        for (int64_t Delta : {1, 2, 17, 64, 1000, 8192}) {
+          // Without fusion the threshold is never read.
+          if (Update == UpdateStrategy::EagerNoFusion && Threshold != 1000)
+            continue;
+          ScopedThreads Scope(Threads);
+          Schedule S;
+          S.Update = Update;
+          S.FusionThreshold = Threshold;
+          S.Delta = Delta;
+          EXPECT_EQ(runEager(G, Src, S), Expected)
+              << "threads=" << Threads << " update="
+              << updateStrategyName(Update) << " threshold=" << Threshold
+              << " delta=" << Delta;
+        }
 }
 
 } // namespace
@@ -330,4 +345,97 @@ TEST(EagerShares, StarSecondRoundIsStolenFromOneShare) {
     EXPECT_EQ(Stats.Rounds, 2) << "threads=" << Threads;
     EXPECT_EQ(Stats.FusedRounds, 0) << "threads=" << Threads;
   }
+}
+
+TEST(EagerShares, SubBinAtThresholdRepeatsRoundFromSubBins) {
+  // Δ=64, so a fine key is distance/8 and bucket 0 holds distances below
+  // 64. The source reaches hub 1 at 8 (sub-bin 1) and hub 2 at 24
+  // (sub-bin 3). Draining sub-bin 1 pushes hub 1's 1000 leaves at 16 into
+  // sub-bin 2, past the threshold of 100, while hub 2 waits in sub-bin 3:
+  // fusion stops in the middle of bucket 0, the round repeats key 0, and
+  // that round's share is sub-bins 2 and 3 concatenated — the leaves,
+  // then hub 2. Hub 2 pushes its 10 vertices at 40 into sub-bin 5, which
+  // fusion drains. Each vertex is expanded exactly once.
+  const Count Leaves = 1000, Tail = 10, N = 3 + Leaves + Tail;
+  std::vector<Edge> Edges = {{0, 1, 8}, {0, 2, 24}};
+  for (Count L = 0; L < Leaves; ++L)
+    Edges.push_back({1, static_cast<VertexId>(3 + L), 8});
+  for (Count T = 0; T < Tail; ++T)
+    Edges.push_back({2, static_cast<VertexId>(3 + Leaves + T), 16});
+  Graph G = GraphBuilder().build(N, Edges);
+  const std::vector<Priority> Expected = dijkstraRef(G, 0);
+  for (int Threads : {1, 2, 3, 4}) {
+    ScopedThreads Scope(Threads);
+    Schedule S;
+    S.Update = UpdateStrategy::EagerWithFusion;
+    S.FusionThreshold = 100;
+    S.Delta = 64;
+    OrderedStats Stats;
+    std::vector<VertexId> Expanded;
+    EXPECT_EQ(runEager(G, 0, S, &Stats, Threads == 1 ? &Expanded : nullptr),
+              Expected)
+        << "threads=" << Threads;
+    EXPECT_EQ(Stats.Rounds, 2) << "threads=" << Threads;
+    EXPECT_EQ(Stats.FusedRounds, 2) << "threads=" << Threads;
+    EXPECT_EQ(Stats.VerticesProcessed, N) << "threads=" << Threads;
+    if (Threads == 1) {
+      // Source, hub 1 (fused), the leaves and hub 2 (the repeated round,
+      // in sub-bin order), then hub 2's vertices (fused).
+      ASSERT_EQ(Expanded.size(), static_cast<size_t>(N));
+      EXPECT_EQ(Expanded[0], 0u);
+      EXPECT_EQ(Expanded[1], 1u);
+      for (Count L = 0; L < Leaves; ++L)
+        EXPECT_GE(Expanded[static_cast<size_t>(2 + L)], 3u);
+      EXPECT_EQ(Expanded[static_cast<size_t>(2 + Leaves)], 2u);
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Priority-ordered sub-bins
+//===----------------------------------------------------------------------===//
+
+TEST(EagerSubBins, FineKeyRefinesBucketKey) {
+  // The bucket key of a fine key is the bucket key of its priority, for
+  // the shift forms (Δ below and above kSubBins) and the division form.
+  for (int64_t Delta : {1, 2, 4, 8, 17, 64, 1000, 1024, 8192}) {
+    const PriorityCoarsener C = PriorityCoarsener::of(Delta);
+    for (Priority P : {0, 1, 7, 8, 63, 64, 999, 1000, 8191, 8192, 123457}) {
+      EXPECT_EQ(C.fineKey(P), P * kSubBins / Delta)
+          << "delta=" << Delta << " p=" << P;
+      EXPECT_EQ(coarseKey(C.fineKey(P)), C.key(P))
+          << "delta=" << Delta << " p=" << P;
+    }
+  }
+  // Priorities near the "unreachable" heuristic bound saturate below the
+  // engine's sentinel instead of overflowing.
+  for (int64_t Delta : {1, 3, 8192}) {
+    const PriorityCoarsener C = PriorityCoarsener::of(Delta);
+    EXPECT_LT(C.fineKey(kInfiniteDistance), kMaxEagerKey);
+    EXPECT_LE(C.fineKey(kInfiniteDistance / 2),
+              C.fineKey(kInfiniteDistance));
+  }
+}
+
+TEST(EagerSubBins, FusedDrainExpandsInPriorityOrder) {
+  // The source 0 reaches 1 directly at 40 and through 2 at 8 + 8 = 16, and
+  // 1 reaches 3 at +8; everything lies in one Δ=64 bucket. A bucket
+  // drained in push order expands 1 at 40 before 2 lowers it, so 3 is
+  // improved twice (48, then 24). Priority-ordered sub-bins expand 2
+  // first, and 3 is improved once.
+  ScopedThreads Scope(1);
+  Graph G = GraphBuilder().build(4, {{0, 1, 40}, {0, 2, 8}, {2, 1, 8},
+                                     {1, 3, 8}});
+  Schedule S;
+  S.Update = UpdateStrategy::EagerWithFusion;
+  S.Delta = 64;
+  std::vector<Priority> Dist(4, kInfiniteDistance);
+  Dist[0] = 0;
+  int TouchesOf3 = 0;
+  detail::distanceOrderedRun(
+      G, 0, Dist, S, [](VertexId) { return Priority{0}; },
+      [](int64_t) { return false; },
+      [&](VertexId V, VertexId) { TouchesOf3 += V == 3; });
+  EXPECT_EQ(Dist, (std::vector<Priority>{0, 16, 8, 24}));
+  EXPECT_EQ(TouchesOf3, 1);
 }

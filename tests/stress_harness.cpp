@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 
@@ -117,8 +118,12 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
   Lazy.configApplyPriorityUpdate("lazy").configApplyPriorityUpdateDelta(1024);
   Schedule Fine;
   Fine.configApplyPriorityUpdateDelta(4);
-  const Schedule *Schedules[] = {&Eager, &Lazy, &Fine};
-  const char *SchedNames[] = {"eager/1024", "lazy/1024", "eager/4"};
+  // Δ not a power of two: the engine's fine keys take the division form.
+  Schedule Odd;
+  Odd.configApplyPriorityUpdateDelta(1000);
+  const Schedule *Schedules[] = {&Eager, &Lazy, &Fine, &Odd};
+  const char *SchedNames[] = {"eager/1024", "lazy/1024", "eager/4",
+                              "eager/1000"};
 
   // The sharded store is driven end to end through the unified engine:
   // updates, growth, removal, and queries all take the engine path, with
@@ -341,7 +346,7 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
                            static_cast<VertexId>(Rng.nextInt(0, N))};
     for (VertexId SrcExt : Sources) {
       std::vector<Priority> FirstSchedule;
-      for (int SI = 0; SI < 3; ++SI) {
+      for (size_t SI = 0; SI < std::size(Schedules); ++SI) {
         const Schedule &S = *Schedules[SI];
         SSSPResult DR = deltaSteppingSSSP(Ref, SrcExt, S);
         // Schedule independence on the reference itself: every

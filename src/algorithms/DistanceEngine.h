@@ -196,9 +196,10 @@ void lazyDistanceLoop(const GraphT &G, LazyBucketQueue &Queue,
 /// (return 0 for plain SSSP). \p Stop is evaluated on round-stable state at
 /// bucket boundaries with the current bucket key. \p Touch is invoked as
 /// `Touch(V, U)` after every successful relaxation that lowered `Dist[V]`
-/// via the edge (U, V); it may run concurrently from many threads and must
-/// synchronize internally (the QueryEngine's pooled state uses it to log
-/// touched vertices and parents; the default is a no-op).
+/// via the edge (U, V); unless the run has a one-thread team, it runs
+/// concurrently from many threads and must synchronize internally (the
+/// pooled `DistanceState::makeTouchFn` logs touched vertices and parents,
+/// and picks its log by that test; the default is a no-op).
 template <typename GraphT, typename HeurFn, typename StopFn,
           typename TouchFn = NoTouchFn>
 OrderedStats distanceOrderedRun(const GraphT &G, VertexId Source,

@@ -32,7 +32,10 @@
 ///
 /// After repair the state's touched log is a *superset* of the finite
 /// vertices (a vertex cut off by deletions stays logged); the next
-/// `beginQuery` still resets exactly the right slots. PPSP over a live
+/// `beginQuery` still resets exactly the right slots. Repair keeps the
+/// logged vertices it left at ∞ on the state's cut-off list, rebuilt from
+/// (affected ∪ old list) in O(affected + cut-off), so
+/// `DistanceState::numReached()` stays exact in O(1). PPSP over a live
 /// graph is served by repairing the source's full SSSP state and reading
 /// `State.dist(target)`.
 ///
@@ -188,9 +191,7 @@ RepairStats repairAfterUpdates(const GraphT &G,
     R.Engine = detail::distanceOrderedRun(
         G, Source, State.distances(), S,
         [](VertexId) { return Priority{0}; }, [](int64_t) { return false; },
-        [&State](VertexId V, VertexId From) {
-          State.recordImprovement(V, From);
-        });
+        State.makeTouchFn());
     return R;
   }
 
@@ -204,7 +205,7 @@ RepairStats repairAfterUpdates(const GraphT &G,
     if (ND >= Dist[V])
       return;
     Dist[V] = ND;
-    State.recordImprovement(V, From);
+    State.recordImprovementSerial(V, From);
     if (Scratch.Mark[V] != SeedEpoch) {
       Scratch.Mark[V] = SeedEpoch;
       Seeds.push_back(V);
@@ -228,11 +229,9 @@ RepairStats repairAfterUpdates(const GraphT &G,
   R.SeedVertices = static_cast<Count>(Seeds.size());
 
   // Phase 3: settle from the seeds through the ordinary ordered engine.
-  R.Engine = detail::distanceOrderedSeededRun(
-      G, Seeds, Dist, S,
-      [&State](VertexId V, VertexId From) {
-        State.recordImprovement(V, From);
-      });
+  R.Engine =
+      detail::distanceOrderedSeededRun(G, Seeds, Dist, S, State.makeTouchFn());
+  State.rebuildCutOff(Affected);
   return R;
 }
 

@@ -61,12 +61,8 @@ PPSPResult ppspPooled(const GraphT &G, VertexId Source, VertexId Target,
                       const Schedule &S, DistanceState &State,
                       const RunLimits &Limits) {
   State.beginQuery(Source);
-  return ppspRun(
-      G, Source, Target, S, State.distances(),
-      [&State](VertexId V, VertexId From) {
-        State.recordImprovement(V, From);
-      },
-      Limits);
+  return ppspRun(G, Source, Target, S, State.distances(),
+                 State.makeTouchFn(), Limits);
 }
 
 } // namespace

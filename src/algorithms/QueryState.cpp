@@ -7,9 +7,11 @@
 
 #include "algorithms/QueryState.h"
 
+#include "support/Atomics.h"
 #include "support/Parallel.h"
 
 #include <algorithm>
+#include <cassert>
 
 using namespace graphit;
 
@@ -46,6 +48,7 @@ void DistanceState::beginQuery(VertexId Source) {
       },
       Parallelization::StaticVertexParallel);
   NumTouched = 0;
+  CutOff.clear();
 
   ++Epoch;
   if (Epoch == 0) {
@@ -59,5 +62,29 @@ void DistanceState::beginQuery(VertexId Source) {
 
   Source_ = Source;
   Dist[Source] = 0;
-  recordImprovement(Source, Source);
+  recordImprovementSerial(Source, Source);
+}
+
+void DistanceState::recordImprovement(VertexId V, VertexId From) {
+  if (TrackParents)
+    atomicStoreRelaxed(&Parent[V], From);
+  uint32_t Cur = Epoch;
+  if (atomicLoadRelaxed(&Stamp[V]) != Cur &&
+      atomicExchange(&Stamp[V], Cur) != Cur)
+    Touched[static_cast<size_t>(fetchAdd(&NumTouched, Count{1}))] = V;
+}
+
+void DistanceState::rebuildCutOff(const std::vector<VertexId> &Invalidated) {
+  size_t Kept = 0;
+  for (VertexId V : CutOff)
+    if (Dist[V] >= kInfiniteDistance)
+      CutOff[Kept++] = V;
+  CutOff.resize(Kept);
+  // Invalidated vertices were finite before the repair, so none is on the
+  // old list: the union has no duplicates.
+  for (VertexId V : Invalidated) {
+    assert(Stamp[V] == Epoch && "an invalidated vertex must be logged");
+    if (Dist[V] >= kInfiniteDistance)
+      CutOff.push_back(V);
+  }
 }

@@ -17,6 +17,20 @@
 /// The state holds only per-vertex arrays; the eager engine's bins and
 /// round shares belong to the run, sized by the vertices it pushes.
 ///
+/// The log has two write paths. An engine run takes its `Touch` callback
+/// from `makeTouchFn`, which picks the *plain* log (ordinary loads and stores)
+/// when `omp_get_max_threads() == 1` and the *atomic* log (epoch-stamp
+/// exchange plus fetch-and-add slot) otherwise. That is the test the
+/// eager engine already uses to drop its CAS on the distance array: the
+/// run's parallel regions take their team size from the same ICV, so on a
+/// one-thread team nothing else writes the log. The serving tier runs
+/// each query that way (`OmpThreadsPerQuery = 1`).
+///
+/// The state also counts its reach in O(1). `numReached()` is the log's
+/// length minus a list of logged vertices that incremental repair left at
+/// ∞ (algorithms/IncrementalSSSP.h). The list is empty unless deletions
+/// cut vertices off, and `beginQuery` clears it.
+///
 /// The pooled overloads of `deltaSteppingSSSP` / `pointToPointShortestPath`
 /// / `aStarSearch` take a `DistanceState &` instead of allocating
 /// internally; `service/QueryEngine` keeps one state per worker thread.
@@ -26,11 +40,11 @@
 #ifndef GRAPHIT_ALGORITHMS_QUERYSTATE_H
 #define GRAPHIT_ALGORITHMS_QUERYSTATE_H
 
-#include "support/Atomics.h"
 #include "support/Types.h"
 
 #include <cstddef>
 #include <cstdint>
+#include <omp.h>
 #include <vector>
 
 namespace graphit {
@@ -39,13 +53,14 @@ namespace graphit {
 ///
 /// Usage per query:
 ///   State.beginQuery(Source);            // O(touched by previous query)
-///   ... run an engine over State.distances(), calling
-///       State.recordImprovement(V, U) after each successful relaxation ...
+///   ... run an engine over State.distances() with Touch =
+///       State.makeTouchFn(), called after each successful relaxation ...
 ///   State.dist(V) / State.parent(V) / touched list are then valid until
 ///   the next beginQuery.
 ///
-/// `recordImprovement` is safe to call concurrently from many threads;
-/// everything else is single-threaded (one query owns the state at a time).
+/// `recordImprovement` (the atomic log) is safe to call concurrently from
+/// many threads; everything else, `recordImprovementSerial` included, is
+/// single-threaded (one query owns the state at a time).
 class DistanceState {
 public:
   /// Allocates state for \p NumNodes vertices; distances start at
@@ -68,17 +83,44 @@ public:
   /// other improved vertex). Shrinking is not supported (no-op).
   void resize(Count NewNumNodes);
 
-  /// Records that `Dist[V]` was lowered via the edge (\p From, V). Called
-  /// concurrently from the relaxation inner loop: the first improvement of
-  /// V this epoch appends V to the touched log (exactly once, via an
-  /// atomic epoch-stamp exchange); every improvement updates the parent.
-  void recordImprovement(VertexId V, VertexId From) {
+  /// Records that `Dist[V]` was lowered via the edge (\p From, V), in the
+  /// atomic log: safe to call concurrently from the relaxation inner loop
+  /// of a multi-threaded run. The first improvement of V this epoch
+  /// appends V to the touched log (exactly once, via an atomic epoch-stamp
+  /// exchange; a fetch-and-add claims its slot); every improvement updates
+  /// the parent.
+  ///
+  /// Defined out of line on purpose: its locked read-modify-writes cost
+  /// more than the call, and inline copies in every pooled engine would
+  /// spend GCC's per-file inlining budget (`inline-unit-growth`) that the
+  /// fresh engines compiled in the same file need.
+  void recordImprovement(VertexId V, VertexId From);
+
+  /// The plain log: the effect of `recordImprovement` with ordinary loads
+  /// and stores. Only for code no other thread runs alongside — a serial
+  /// loop, or an engine run on a one-thread team (see `makeTouchFn`).
+  void recordImprovementSerial(VertexId V, VertexId From) {
     if (TrackParents)
-      atomicStoreRelaxed(&Parent[V], From);
-    uint32_t Cur = Epoch;
-    if (atomicLoadRelaxed(&Stamp[V]) != Cur &&
-        atomicExchange(&Stamp[V], Cur) != Cur)
-      Touched[static_cast<size_t>(fetchAdd(&NumTouched, Count{1}))] = V;
+      Parent[V] = From;
+    if (Stamp[V] != Epoch) {
+      Stamp[V] = Epoch;
+      Touched[static_cast<size_t>(NumTouched++)] = V;
+    }
+  }
+
+  /// The engine's `Touch` callback for one run over this state: the plain
+  /// log when the calling thread's OpenMP team size is 1, the atomic log
+  /// otherwise. The engine forks its parallel regions from the same ICV,
+  /// so a one-thread run has no concurrent writer. Make it on the thread
+  /// that runs the engine, once per run.
+  auto makeTouchFn() {
+    const bool Concurrent = omp_get_max_threads() > 1;
+    return [this, Concurrent](VertexId V, VertexId From) {
+      if (Concurrent)
+        recordImprovement(V, From);
+      else
+        recordImprovementSerial(V, From);
+    };
   }
 
   /// The distance array the engine runs over.
@@ -95,10 +137,25 @@ public:
   }
 
   /// Vertices improved by the current query, in first-touch order
-  /// (nondeterministic across runs; contents are exactly the vertices with
-  /// finite distance).
+  /// (nondeterministic across runs). After a fresh run these are exactly
+  /// the vertices with finite distance; after `repairAfterUpdates` they
+  /// also include the vertices deletions cut off (see `numReached`).
   Count numTouched() const { return NumTouched; }
   VertexId touched(Count I) const { return Touched[static_cast<size_t>(I)]; }
+
+  /// Vertices with finite distance, in O(1): `numTouched()` minus the
+  /// logged vertices incremental repair left at ∞. Equal to
+  /// `numTouched()` unless deletions cut vertices off since `beginQuery`.
+  Count numReached() const {
+    return NumTouched - static_cast<Count>(CutOff.size());
+  }
+
+  /// Incremental repair's update of the cut-off list, after it settled:
+  /// keeps the vertices of the old list and of \p Invalidated (logged
+  /// vertices this repair reset to ∞) that are still at ∞. Settling only
+  /// lowers distances, so no other logged vertex can be at ∞. Costs
+  /// O(|Invalidated| + old list).
+  void rebuildCutOff(const std::vector<VertexId> &Invalidated);
 
   /// Queries served by this state so far (epoch counter).
   uint64_t queriesBegun() const { return QueriesBegun; }
@@ -113,6 +170,7 @@ private:
   std::vector<uint32_t> Stamp;   ///< epoch stamp per vertex
   std::vector<VertexId> Touched; ///< capacity NumNodes; first NumTouched valid
   Count NumTouched = 0;
+  std::vector<VertexId> CutOff; ///< logged vertices at ∞ (see numReached)
   uint32_t Epoch = 0;
   uint64_t QueriesBegun = 0;
   VertexId Source_ = kInvalidVertex;

@@ -30,11 +30,7 @@ OrderedStats ssspPooled(const GraphT &G, VertexId Source, const Schedule &S,
   State.beginQuery(Source);
   return detail::distanceOrderedRun(
       G, Source, State.distances(), S, [](VertexId) { return Priority{0}; },
-      [](int64_t) { return false; },
-      [&State](VertexId V, VertexId From) {
-        State.recordImprovement(V, From);
-      },
-      Cancel);
+      [](int64_t) { return false; }, State.makeTouchFn(), Cancel);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include "support/FailPoint.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <omp.h>
 
@@ -245,25 +246,23 @@ bool BasicQueryEngine<StoreT>::serveFromHot(const Query &QI, uint64_t Ver,
   // snapshot (repair clones instead of mutating anything a reader holds).
   if (QI.Target != kInvalidVertex)
     R.Dist = St->dist(QI.Target);
-  // After repairs the touched log is a superset of the finite vertices
-  // (a vertex cut off by deletions stays logged): filter on finiteness so
-  // Touched/Reached match what a fresh run reports.
-  Count Finite = 0;
-  const Count Logged = St->numTouched();
-  if (QI.CollectReached)
-    R.Reached.reserve(static_cast<size_t>(Logged));
-  for (Count I = 0; I < Logged; ++I) {
-    VertexId V = St->touched(I);
-    Priority D = St->dist(V);
-    if (D >= kInfiniteDistance)
-      continue;
-    ++Finite;
-    if (QI.CollectReached)
-      R.Reached.emplace_back(V, D);
-  }
-  R.Touched = Finite;
-  if (QI.CollectReached)
+  R.Touched = St->numReached();
+  if (QI.CollectReached) {
+    // After repairs the touched log is a superset of the finite vertices
+    // (a vertex cut off by deletions stays logged): filter on finiteness
+    // so Reached matches what a fresh run reports.
+    R.Reached.reserve(static_cast<size_t>(R.Touched));
+    const Count Logged = St->numTouched();
+    for (Count I = 0; I < Logged; ++I) {
+      VertexId V = St->touched(I);
+      Priority D = St->dist(V);
+      if (D < kInfiniteDistance)
+        R.Reached.emplace_back(V, D);
+    }
+    assert(static_cast<Count>(R.Reached.size()) == R.Touched &&
+           "the cut-off list holds exactly the logged vertices at infinity");
     std::sort(R.Reached.begin(), R.Reached.end());
+  }
   return true;
 }
 
@@ -978,10 +977,10 @@ QueryResult BasicQueryEngine<StoreT>::runOne(const Query &Q,
     // queries bypass the shared hot states; a PPSP/A* with
     // CollectReached does too (its fresh-run reach is the early-exited
     // search, not the full solution a hot state holds). Serving a *hit*
-    // under a deadline is fine (it's an O(touched) copy-out, no engine
-    // run), but a deadline-carrying run must not *warm* the cache — a
-    // cancelled run would install a partial solution that repair would
-    // then propagate as if complete.
+    // under a deadline is fine (it's a copy-out, no engine run), but a
+    // deadline-carrying run must not *warm* the cache — a cancelled run
+    // would install a partial solution that repair would then propagate
+    // as if complete.
     const bool HotEligible =
         HotCache != nullptr && !QI.CollectPath &&
         (QI.Kind == QueryKind::SSSP || !QI.CollectReached);

@@ -181,7 +181,8 @@ struct QueryResult {
   /// SSSP: kInfiniteDistance (per-vertex distances via Reached).
   Priority Dist = kInfiniteDistance;
   OrderedStats Stats;
-  /// Vertices the query improved (== vertices at finite distance).
+  /// Vertices the query improved (== vertices at finite distance). A
+  /// hot-state hit reads it in O(1) from the state's kept reach count.
   Count Touched = 0;
   /// See Query::CollectReached.
   std::vector<std::pair<VertexId, Priority>> Reached;
@@ -520,9 +521,12 @@ private:
   /// answers SSSP/PPSP/A* queries bit-identically to a fresh run; the
   /// `Touched` counter reports the full solution's reach, which for
   /// PPSP/A* differs from an early-exited fresh run's engine counter).
-  /// The copy-out runs lock-free on an immutable shared_ptr snapshot —
-  /// repair never mutates a state a reader still references (it clones).
-  /// \returns false on miss; results are in internal id space.
+  /// A hit costs O(1): `Touched` is the state's kept reach count
+  /// (`DistanceState::numReached`), and only `CollectReached` scans the
+  /// touched log. The copy-out runs lock-free on an immutable shared_ptr
+  /// snapshot — repair never mutates a state a reader still references
+  /// (it clones). \returns false on miss; results are in internal id
+  /// space.
   bool serveFromHot(const Query &QI, uint64_t Ver, QueryResult &R) const;
 
   /// The landmark cache to use for a query pinned at \p SnapVersion, or

@@ -36,6 +36,7 @@
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <thread>
 #include <vector>
@@ -380,6 +381,10 @@ TEST(Deadline, AdmissionShedsLowestImportanceFirst) {
   Slow.Source = 0;
   Slow.Sched = eager(1);
   Slow.Importance = 10; // never a shed victim, even while still queued
+  // Release this thread's idle OpenMP pool first: its spinning threads
+  // would otherwise hold the cores while the worker runs the slow query,
+  // and the submits below would land only after it finished.
+  omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
 
   std::vector<uint64_t> LowTickets;
@@ -443,6 +448,8 @@ TEST(Deadline, SoftWaterDegradesPointQueriesInsteadOfShedding) {
   Slow.Kind = QueryKind::SSSP;
   Slow.Source = 0;
   Slow.Sched = eager(1);
+  // Free the cores first, as AdmissionShedsLowestImportanceFirst does.
+  omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   std::vector<uint64_t> Tickets;
   for (int I = 0; I < 8; ++I) {
@@ -485,6 +492,8 @@ TEST(Deadline, AdmissionShedTieBreakIsDeterministic) {
   Slow.Source = 0;
   Slow.Sched = eager(1);
   Slow.Importance = 10;
+  // Free the cores first, as AdmissionShedsLowestImportanceFirst does.
+  omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   // Wait until the only worker has dequeued the slow run, so the three
   // fillers below are exactly the pending queue — deterministic state.

@@ -12,6 +12,8 @@
 
 #include "core/OrderedProcess.h"
 
+#include "stress_harness.h"
+
 #include "algorithms/DistanceEngine.h"
 #include "graph/Builder.h"
 #include "graph/Generators.h"
@@ -23,6 +25,7 @@
 #include <queue>
 
 using namespace graphit;
+using graphit::stress::ScopedThreads;
 
 namespace {
 
@@ -75,19 +78,6 @@ std::vector<Priority> runEager(const Graph &G, VertexId Src,
                       [](int64_t) { return false; }, Stats);
   return Dist;
 }
-
-/// Sets the OpenMP thread count for one test case and restores the
-/// previous count when the case ends, pass or fail.
-class ScopedThreads {
-public:
-  explicit ScopedThreads(int Threads) : Saved(getNumWorkers()) {
-    setNumWorkers(Threads);
-  }
-  ~ScopedThreads() { setNumWorkers(Saved); }
-
-private:
-  int Saved;
-};
 
 struct EagerCase {
   const char *Name;

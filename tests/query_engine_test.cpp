@@ -35,6 +35,7 @@ using namespace graphit::service;
 // update batches from the same canonical space.
 using graphit::stress::coordinateSafeInsertBatch;
 using graphit::stress::randomBatch;
+using graphit::stress::ScopedThreads;
 
 namespace {
 
@@ -88,21 +89,41 @@ TEST(DistanceState, PooledSSSPMatchesFreshAcrossReuse) {
 }
 
 TEST(DistanceState, TouchedListIsExactlyTheReachedSet) {
+  // One thread takes the plain log, four the atomic one. Either way the
+  // log holds each vertex at finite distance exactly once, for a full
+  // SSSP and for early-exited point searches alike.
   Graph G = roadWithCoords(20, 3);
   Schedule S;
   S.Delta = 4096;
-  DistanceState State(G.numNodes());
-  deltaSteppingSSSP(G, 17, S, State);
-  std::vector<uint8_t> InTouched(static_cast<size_t>(G.numNodes()), 0);
-  for (Count I = 0; I < State.numTouched(); ++I) {
-    VertexId V = State.touched(I);
-    EXPECT_FALSE(InTouched[V]) << "duplicate touched entry " << V;
-    InTouched[V] = 1;
-  }
-  for (Count V = 0; V < G.numNodes(); ++V)
-    EXPECT_EQ(InTouched[V] != 0,
-              State.dist(static_cast<VertexId>(V)) < kInfiniteDistance)
-        << "vertex " << V;
+  const VertexId Src = 17, Dst = 60;
+  for (int Threads : {1, 4})
+    for (QueryKind Kind :
+         {QueryKind::SSSP, QueryKind::PPSP, QueryKind::AStar}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << Threads
+                                        << " kind=" << static_cast<int>(Kind));
+      ScopedThreads Scope(Threads);
+      DistanceState State(G.numNodes());
+      if (Kind == QueryKind::SSSP)
+        deltaSteppingSSSP(G, Src, S, State);
+      else if (Kind == QueryKind::PPSP)
+        pointToPointShortestPath(G, Src, Dst, S, State);
+      else
+        aStarSearch(G, Src, Dst, S, State);
+      std::vector<uint8_t> InTouched(static_cast<size_t>(G.numNodes()), 0);
+      for (Count I = 0; I < State.numTouched(); ++I) {
+        VertexId V = State.touched(I);
+        EXPECT_FALSE(InTouched[V]) << "duplicate touched entry " << V;
+        InTouched[V] = 1;
+      }
+      Count Finite = 0;
+      for (Count V = 0; V < G.numNodes(); ++V) {
+        const bool Reached =
+            State.dist(static_cast<VertexId>(V)) < kInfiniteDistance;
+        Finite += Reached;
+        EXPECT_EQ(InTouched[V] != 0, Reached) << "vertex " << V;
+      }
+      EXPECT_EQ(State.numReached(), Finite);
+    }
 }
 
 TEST(DistanceState, PooledPPSPAndAStarMatchDijkstra) {
@@ -744,6 +765,8 @@ TEST(QueryEngineBatching, WindowGrowsUnderBacklogAndCollapsesWhenDrained) {
   Slow.Kind = QueryKind::SSSP;
   Slow.Source = 0;
   Slow.CollectReached = true;
+  // Free the cores first, as EwmaIsolationAcrossImportanceClasses does.
+  omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   // Wait for the worker to pick it up so the burst below queues *behind*
   // a busy worker instead of racing it.

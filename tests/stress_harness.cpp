@@ -410,19 +410,41 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
                      << P.second << " reference=" << FirstSchedule[P.first];
           return Fail.str();
         }
+      // The repeated source again without CollectReached: a hot hit then
+      // reports Touched from the state's kept reach count alone.
+      if (SrcExt == RepairSrcExt) {
+        EQ.CollectReached = false;
+        QueryResult EC = Engine.runBatch({EQ})[0];
+        if (EC.Status != QueryStatus::Ok || EC.Touched != Finite) {
+          Tag(Round) << "engine SSSP (src=" << SrcExt
+                     << ", no CollectReached) touched " << EC.Touched
+                     << " (status " << static_cast<int>(EC.Status)
+                     << "), reference reaches " << Finite;
+          return Fail.str();
+        }
+      }
     }
 
     // --- Repaired-vs-recomputed differential ----------------------------
     repairAfterUpdates(*PA.Snap, PA.Applied, Repaired, Eager, Scratch);
     SSSPResult FreshP = deltaSteppingSSSP(
         *PA.Snap, Plain.mapping().toInternal(RepairSrcExt), Eager);
-    for (Count V = 0; V < PA.Snap->numNodes(); ++V)
+    Count FreshFinite = 0;
+    for (Count V = 0; V < PA.Snap->numNodes(); ++V) {
       if (Repaired.distances()[V] != FreshP.Dist[V]) {
         Tag(Round) << "repair diverges from recompute at internal vertex "
                    << V << ": repaired=" << Repaired.distances()[V]
                    << " fresh=" << FreshP.Dist[V];
         return Fail.str();
       }
+      if (FreshP.Dist[V] != kInfiniteDistance)
+        ++FreshFinite;
+    }
+    if (Repaired.numReached() != FreshFinite) {
+      Tag(Round) << "repaired state reports reach " << Repaired.numReached()
+                 << ", recompute reaches " << FreshFinite;
+      return Fail.str();
+    }
 
     // --- PPSP spot checks (exact early exit vs full distances) ----------
     for (int Q = 0; Q < 3; ++Q) {

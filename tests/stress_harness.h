@@ -43,6 +43,7 @@
 
 #include "graph/DeltaGraph.h"
 #include "graph/Reorder.h"
+#include "support/Parallel.h"
 #include "support/Random.h"
 
 #include <algorithm>
@@ -152,6 +153,21 @@ std::vector<EdgeUpdate> coordinateSafeInsertBatch(const GraphT &G,
   }
   return Batch;
 }
+
+/// Sets the OpenMP thread count for one test case and restores the
+/// previous count when the case ends, pass or fail.
+class ScopedThreads {
+public:
+  explicit ScopedThreads(int Threads) : Saved(getNumWorkers()) {
+    setNumWorkers(Threads);
+  }
+  ~ScopedThreads() { setNumWorkers(Saved); }
+  ScopedThreads(const ScopedThreads &) = delete;
+  ScopedThreads &operator=(const ScopedThreads &) = delete;
+
+private:
+  int Saved;
+};
 
 /// One configuration point of the differential stress harness.
 struct StressConfig {

@@ -208,15 +208,6 @@ public:
     }
   }
 
-  /// Drops every cached entry (used when a store compaction or rebuild
-  /// invalidates incremental repair continuity).
-  void clear() {
-    for (Stripe &S : Stripes) {
-      MutexLock Lock(S.Mu);
-      S.Map.clear();
-    }
-  }
-
   /// Number of successful version-matched lookups since construction.
   uint64_t hits() const { return Hits_.load(std::memory_order_relaxed); }
 

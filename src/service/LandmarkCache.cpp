@@ -77,6 +77,21 @@ LandmarkCache::LandmarkCache(const Graph &Gr, int NumLandmarks,
   }
 }
 
+bool LandmarkCache::admits(VertexId U, VertexId V, Weight W) const {
+  const Count N = G.numNodes();
+  if (static_cast<Count>(U) >= N || static_cast<Count>(V) >= N)
+    return false;
+  // Parallel edges compare against the lightest: the bounds were computed
+  // on the shortest U → V hop.
+  auto HasEdgeAtMost = [&](VertexId From, VertexId To) {
+    for (WNode E : G.outNeighbors(From))
+      if (E.V == To && E.W <= W)
+        return true;
+    return false;
+  };
+  return HasEdgeAtMost(U, V) && (!G.isSymmetric() || HasEdgeAtMost(V, U));
+}
+
 Priority LandmarkCache::estimateWith(const Priority *TargetDist, VertexId V,
                                      VertexId Target) const {
   Priority Best =

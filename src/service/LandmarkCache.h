@@ -7,8 +7,8 @@
 ///
 /// \file
 /// The ALT (A*, Landmarks, Triangle inequality) heuristic of Goldberg &
-/// Harrelson, precomputed once per graph snapshot and shared read-only by
-/// every concurrent query.
+/// Harrelson, precomputed once per graph and shared read-only by every
+/// concurrent query.
 ///
 /// A set of landmarks L is chosen by farthest-point sampling and the full
 /// distance vector d(l, ·) is computed for each. The triangle inequality
@@ -22,6 +22,13 @@
 /// bound is combined with the coordinate heuristic by max — the max of two
 /// admissible, consistent bounds is again admissible and consistent, and
 /// landmarks are often much tighter along road corridors.
+///
+/// The bound stays admissible and consistent on any later version of the
+/// graph whose every edge weighs at least its *build weight* (the weight
+/// the landmark distances were computed on) and which adds no edge: true
+/// distances can then only have grown. `admits` is that test for one
+/// upsert, which is how a live engine keeps one cache across an incident
+/// stream that raises weights and later restores them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +57,7 @@ public:
 
   /// Owning variant for caches whose graph has no other holder — the live
   /// QueryEngine builds one from a compacted snapshot and keeps the
-  /// compacted CSR alive exactly as long as the cache.
+  /// compacted CSR alive exactly as long as the cache (`admits` reads it).
   LandmarkCache(std::shared_ptr<const Graph> GPtr, int NumLandmarks,
                 const Schedule &S, VertexId ProbeStart = 0);
 
@@ -83,10 +90,12 @@ public:
   int numLandmarks() const { return static_cast<int>(Landmarks.size()); }
   const std::vector<VertexId> &landmarks() const { return Landmarks; }
 
-  /// d(landmark L, V) as precomputed.
-  Priority landmarkDist(int L, VertexId V) const {
-    return DistFrom[static_cast<size_t>(L)][V];
-  }
+  /// True when upserting U → V at weight \p W keeps the bound admissible
+  /// and consistent: the build graph holds the edge at a weight no greater
+  /// than \p W — in both directions on a symmetric graph, where the store
+  /// applies both. An absent edge, a lighter weight, or an id outside the
+  /// build universe is not admitted.
+  bool admits(VertexId U, VertexId V, Weight W) const;
 
   /// Bound returned when a landmark proves the target unreachable from V
   /// (the landmark reaches V but not the target, so no V → target path

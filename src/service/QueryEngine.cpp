@@ -71,11 +71,9 @@ BasicQueryEngine<StoreT>::BasicQueryEngine(const Graph &G, Options O)
         G, Opts.Reorder, &OwnMap, /*Seed=*/0x0EDE5, Opts.ReorderSourceHint));
     StaticG = OwnedG.get();
   }
-  if (Opts.NumLandmarks > 0) {
+  if (Opts.NumLandmarks > 0)
     Landmarks = std::make_shared<LandmarkCache>(
         *StaticG, Opts.NumLandmarks, Opts.DefaultSchedule);
-    LandmarksAdmissible = true;
-  }
   startWorkers();
 }
 
@@ -89,61 +87,13 @@ BasicQueryEngine<StoreT>::BasicQueryEngine(StoreT &S, Options O)
   else if (Opts.HotSourceCapacity > 0)
     HotCache = std::make_shared<HotStateCache>(
         static_cast<size_t>(Opts.HotSourceCapacity));
-  if (Opts.NumLandmarks > 0) {
-    // Build the ALT cache from a compacted copy of the current version.
-    // It keeps serving through increase-only batches (admissibility is
-    // preserved when true distances can only grow) and is rebuilt on
-    // compaction; see the constructor contract in the header.
-    auto [Snap, Ver] = S.currentVersioned();
+  // Built once, on a compacted copy of the current version; the header's
+  // constructor contract says why it never needs a rebuild.
+  if (Opts.NumLandmarks > 0)
     Landmarks = std::make_shared<LandmarkCache>(
-        std::make_shared<const Graph>(Snap->compact()), Opts.NumLandmarks,
-        Opts.DefaultSchedule);
-    LandmarksAdmissible = true;
-    LandmarkVersion = Ver;
-    SeenCompactions = S.compactions();
-  }
+        std::make_shared<const Graph>(S.current()->compact()),
+        Opts.NumLandmarks, Opts.DefaultSchedule);
   startWorkers();
-}
-
-template <class StoreT>
-void BasicQueryEngine<StoreT>::noteAppliedBatch(
-    const typename StoreT::ApplyResult &R, bool WasAdmissible) {
-  // Exact admissibility test on the coalesced transitions: an insert
-  // (OldW absent) or a strict decrease shrinks some true distance, which
-  // can push it below a landmark bound. Deletes and increases only grow
-  // distances — every previously-computed lower bound still holds.
-  bool Breaking = false;
-  for (const AppliedUpdate &A : R.Applied) {
-    if (A.OldW == kAbsentEdge ||
-        (A.NewW != kAbsentEdge && A.NewW < A.OldW)) {
-      Breaking = true;
-      break;
-    }
-  }
-
-  // Rebuild on compaction: the freshly compacted base *is* the current
-  // adjacency, so a cache built from it is admissible from this version
-  // forward regardless of the history that triggered the compaction. The
-  // K-SSSP build runs with only LandmarkWriterMu held (no other writer
-  // can publish meanwhile) — queries keep serving on the old flag/cache.
-  std::shared_ptr<const LandmarkCache> Rebuilt;
-  uint64_t RebuiltVersion = 0;
-  if (Store->compactions() != SeenCompactions) {
-    SeenCompactions = Store->compactions();
-    auto [Snap, Ver] = Store->currentVersioned();
-    Rebuilt = std::make_shared<LandmarkCache>(
-        std::make_shared<const Graph>(Snap->compact()), Opts.NumLandmarks,
-        Opts.DefaultSchedule);
-    RebuiltVersion = Ver;
-  }
-
-  MutexLock Guard(LandmarkMu);
-  LandmarksAdmissible = WasAdmissible && !Breaking;
-  if (Rebuilt) {
-    Landmarks = std::move(Rebuilt);
-    LandmarkVersion = RebuiltVersion;
-    LandmarksAdmissible = true;
-  }
 }
 
 template <class StoreT>
@@ -151,33 +101,19 @@ typename StoreT::ApplyResult
 BasicQueryEngine<StoreT>::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   if (!Store)
     fatalError("QueryEngine::applyUpdates: engine serves a fixed graph");
-  typename StoreT::ApplyResult R;
-  if (Opts.NumLandmarks <= 0) {
-    R = Store->applyUpdates(Batch);
-  } else {
-    // LandmarkWriterMu serializes writers end to end so admissibility
-    // tracking observes batches in order; queries never touch it. The
-    // conservative pre-invalidation (under the cheap LandmarkMu) closes
-    // the window in which a query could pin the just-published (possibly
-    // bound-breaking) version while still reading "admissible" — a batch
-    // that proves to be increase-only restores the flag afterwards.
-    MutexLock WriterGuard(LandmarkWriterMu);
-    bool MaybeBreaking = false;
+  // Deletions and upserts at or above the build weight keep every landmark
+  // bound admissible, whatever order concurrent batches land in. Anything
+  // else retires the cache before the store publishes it; a record the
+  // store then skips as malformed retires it too, conservatively.
+  if (landmarksUsable())
     for (const EdgeUpdate &U : Batch)
-      if (U.Kind == UpdateKind::Upsert) {
-        MaybeBreaking = true; // maybe an insert/decrease: assume so
+      if (U.Kind == UpdateKind::Upsert &&
+          !Landmarks->admits(Map->toInternal(U.Src), Map->toInternal(U.Dst),
+                             U.W)) {
+        LandmarksRetired.store(true);
         break;
       }
-    bool WasAdmissible;
-    {
-      MutexLock Guard(LandmarkMu);
-      WasAdmissible = LandmarksAdmissible;
-      if (MaybeBreaking)
-        LandmarksAdmissible = false;
-    }
-    R = Store->applyUpdates(Batch);
-    noteAppliedBatch(R, WasAdmissible);
-  }
+  typename StoreT::ApplyResult R = Store->applyUpdates(Batch);
   // A rejected strict batch published nothing: hot states are still at
   // the current version and stay serveable — repairing (which expects to
   // advance exactly one version) would wrongly drop them all.
@@ -189,29 +125,38 @@ BasicQueryEngine<StoreT>::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
 
 template <class StoreT>
 VertexId BasicQueryEngine<StoreT>::addVertices(Count HowMany,
-                                  const Coordinates *TailCoords) {
+                                               const Coordinates *TailCoords) {
   if (!Store)
     fatalError("QueryEngine::addVertices: engine serves a fixed graph");
-  // Serialize with landmark-tracked update batches so the retirement
-  // below observes a consistent order (uncontended when landmarks are
-  // off).
-  MutexLock WriterGuard(LandmarkWriterMu);
-  VertexId First = Store->addVertices(HowMany, TailCoords);
-  if (HowMany <= 0)
-    return First;
-  const uint64_t NewVersion = Store->version();
+  return growUniverse(
+      [&] { return Store->addVertices(HowMany, TailCoords); });
+}
+
+template <class StoreT>
+VertexId BasicQueryEngine<StoreT>::acquireVertex(const Coordinates *OneCoord) {
+  if (!Store)
+    fatalError("QueryEngine::acquireVertex: engine serves a fixed graph");
+  return growUniverse([&] { return Store->acquireVertex(OneCoord); });
+}
+
+template <class StoreT>
+template <typename StoreGrowFn>
+VertexId
+BasicQueryEngine<StoreT>::growUniverse(const StoreGrowFn &StoreGrow) {
+  MutexLock Guard(GrowthMu);
+  const Count Before = Store->numNodes();
+  const VertexId Id = StoreGrow();
   const Count NewNodes = Store->numNodes();
+  if (NewNodes == Before)
+    return Id; // a recycled id or an empty request: nothing grew
+  const uint64_t NewVersion = Store->version();
 
-  if (Opts.NumLandmarks > 0) {
-    // Landmark arrays are sized to the old universe: an estimate() for a
-    // tail vertex would index out of bounds, so retire the cache. The
-    // next compaction rebuilds it over the grown universe (the usual
-    // rebuild path re-arms serving).
-    MutexLock Guard(LandmarkMu);
-    LandmarksAdmissible = false;
-  }
-
-  NumNodes.store(NewNodes, std::memory_order_relaxed);
+  // The landmark arrays cover the build universe only. Retiring before
+  // submit() can accept a new id means no query asks for a tail vertex's
+  // bound; a tail vertex joins the graph only through an upsert, which
+  // applyUpdates would not admit anyway.
+  LandmarksRetired.store(true);
+  NumNodes.store(NewNodes);
   // Pool growth is a fail-point site (statepool.grow): a transient fault
   // must not leave the pool sized below the already-published universe,
   // so retry until it lands — the operation itself is idempotent.
@@ -221,8 +166,7 @@ VertexId BasicQueryEngine<StoreT>::addVertices(Count HowMany,
       break;
     } catch (const std::exception &) {
       if (Attempt >= 256)
-        fatalError("QueryEngine::addVertices: state pool growth kept "
-                   "failing");
+        fatalError("QueryEngine: state pool growth kept failing");
     }
   }
 
@@ -231,7 +175,7 @@ VertexId BasicQueryEngine<StoreT>::addVertices(Count HowMany,
   // re-tag cached states instead of repairing.
   if (HotCache)
     HotCache->growAll(NewNodes, NewVersion);
-  return First;
+  return Id;
 }
 
 template <class StoreT>
@@ -920,42 +864,6 @@ std::vector<VertexId> extractPath(const GraphT &G, DistanceState &State,
 } // namespace
 
 template <class StoreT>
-std::shared_ptr<const LandmarkCache>
-BasicQueryEngine<StoreT>::landmarks() const {
-  // Fixed-graph mode never mutates the cache after construction, but the
-  // "immutable, read without the lock" special case was exactly the kind
-  // of tribal-knowledge contract the thread-safety analysis exists to
-  // retire: the lock is uncontended there, so take it unconditionally.
-  MutexLock Guard(LandmarkMu);
-  return Landmarks;
-}
-
-template <class StoreT>
-bool BasicQueryEngine<StoreT>::landmarksUsable() const {
-  // Both modes set LandmarksAdmissible with the cache (fixed-graph caches
-  // are built admissible and never lapse), so one guarded read serves
-  // both.
-  MutexLock Guard(LandmarkMu);
-  return Landmarks != nullptr && LandmarksAdmissible;
-}
-
-template <class StoreT>
-std::shared_ptr<const LandmarkCache>
-BasicQueryEngine<StoreT>::landmarksFor(uint64_t SnapVersion) const {
-  // Fixed-graph queries pass SnapVersion 0 and the cache is built at
-  // version 0 admissible, so the live-mode predicate below degenerates to
-  // "return the cache" — no special case needed.
-  MutexLock Guard(LandmarkMu);
-  // Admissible means "for every version from the cache's build through
-  // the latest published". The query's pinned version is at most the
-  // latest; requiring it to be at least the build version rules out a
-  // long-pinned older snapshot meeting a cache rebuilt after decreases.
-  if (Landmarks && LandmarksAdmissible && SnapVersion >= LandmarkVersion)
-    return Landmarks;
-  return nullptr;
-}
-
-template <class StoreT>
 QueryResult BasicQueryEngine<StoreT>::runOne(const Query &Q,
                                              DistanceState &State,
                                              const CancelToken *Cancel) const {
@@ -1000,15 +908,15 @@ QueryResult BasicQueryEngine<StoreT>::runOne(const Query &Q,
       else
         HotState = std::make_shared<DistanceState>(Snap->numNodes(),
                                                    Opts.TrackParents);
-      R = runOneOn(*Snap, QI, *HotState, Ver, nullptr);
+      R = runOneOn(*Snap, QI, *HotState, nullptr);
       HotCache->install(QI.Source, Ver, std::move(HotState));
     } else {
       // Vertex insertion may have outgrown a pooled worker state.
       State.resize(Snap->numNodes());
-      R = runOneOn(*Snap, QI, State, Ver, Cancel);
+      R = runOneOn(*Snap, QI, State, Cancel);
     }
   } else {
-    R = runOneOn(*StaticG, QI, State, 0, Cancel);
+    R = runOneOn(*StaticG, QI, State, Cancel);
   }
 
   if (!Map->isIdentity()) {
@@ -1024,7 +932,7 @@ template <class StoreT>
 template <typename GraphT>
 QueryResult BasicQueryEngine<StoreT>::runOneOn(
     const GraphT &G, const Query &Q, DistanceState &State,
-    uint64_t SnapVersion, const CancelToken *Cancel) const {
+    const CancelToken *Cancel) const {
   const Schedule &S = Q.Sched ? *Q.Sched : Opts.DefaultSchedule;
   RunLimits Limits;
   Limits.Cancel = Cancel;
@@ -1055,10 +963,12 @@ QueryResult BasicQueryEngine<StoreT>::runOneOn(
   }
   case QueryKind::AStar: {
     PPSPResult P;
-    if (std::shared_ptr<const LandmarkCache> L = landmarksFor(SnapVersion)) {
+    // The query pinned its version before this check, so a retirement
+    // published with that version (or earlier) is visible here.
+    if (landmarksUsable()) {
       // Snapshot the target-side landmark distances once per query; the
       // per-relaxation estimate then avoids K scattered |V|-vector reads.
-      LandmarkCache::TargetBound Bound = L->boundFor(Q.Target);
+      LandmarkCache::TargetBound Bound = Landmarks->boundFor(Q.Target);
       P = aStarSearch(G, Q.Source, Q.Target, S, State, &Bound, Limits);
     } else if (HasCoordinates) {
       P = aStarSearch(G, Q.Source, Q.Target, S, State, nullptr, Limits);
@@ -1128,24 +1038,8 @@ typename StoreT::ApplyResult
 BasicQueryEngine<StoreT>::removeVertex(VertexId External) {
   if (!Store)
     fatalError("QueryEngine::removeVertex: engine serves a fixed graph");
-  typename StoreT::ApplyResult R;
-  if (Opts.NumLandmarks <= 0) {
-    R = Store->removeVertex(External);
-  } else {
-    // A detachment batch is pure deletions: true distances only grow, so
-    // every landmark bound stays admissible and no pre-invalidation is
-    // needed. Serialize with the other writers all the same so
-    // admissibility tracking observes batches in order (and a fold the
-    // deletions trigger still rebuilds the cache).
-    MutexLock WriterGuard(LandmarkWriterMu);
-    bool WasAdmissible;
-    {
-      MutexLock Guard(LandmarkMu);
-      WasAdmissible = LandmarksAdmissible;
-    }
-    R = Store->removeVertex(External);
-    noteAppliedBatch(R, WasAdmissible);
-  }
+  // A detachment is pure deletions: every landmark bound stays admissible.
+  typename StoreT::ApplyResult R = Store->removeVertex(External);
   // Hot states repair from the Applied transitions exactly like an
   // ordinary delete batch (an out-of-range no-op published nothing and
   // repairAll keeps same-version entries untouched).
@@ -1153,43 +1047,6 @@ BasicQueryEngine<StoreT>::removeVertex(VertexId External) {
     HotCache->repairAll(*R.Snap, R.Applied, R.Version,
                         Opts.DefaultSchedule);
   return R;
-}
-
-template <class StoreT>
-VertexId BasicQueryEngine<StoreT>::acquireVertex(const Coordinates *OneCoord) {
-  if (!Store)
-    fatalError("QueryEngine::acquireVertex: engine serves a fixed graph");
-  // Serialize with engine-routed growth so the before/after universe
-  // comparison below cannot interleave with a concurrent addVertices.
-  MutexLock WriterGuard(LandmarkWriterMu);
-  const Count Before = Store->numNodes();
-  VertexId Id = Store->acquireVertex(OneCoord);
-  const Count NewNodes = Store->numNodes();
-  if (NewNodes == Before)
-    return Id; // recycled a freed id: in-universe already, nothing grew
-
-  // The free list was empty and the store grew the universe by one:
-  // mirror addVertices' bookkeeping (it could not run here — it takes
-  // LandmarkWriterMu itself).
-  const uint64_t NewVersion = Store->version();
-  if (Opts.NumLandmarks > 0) {
-    MutexLock Guard(LandmarkMu);
-    LandmarksAdmissible = false; // arrays sized to the old universe
-  }
-  NumNodes.store(NewNodes, std::memory_order_relaxed);
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      Pool.grow(NewNodes);
-      break;
-    } catch (const std::exception &) {
-      if (Attempt >= 256)
-        fatalError("QueryEngine::acquireVertex: state pool growth kept "
-                   "failing");
-    }
-  }
-  if (HotCache)
-    HotCache->growAll(NewNodes, NewVersion);
-  return Id;
 }
 
 template <class StoreT>

@@ -200,7 +200,7 @@ struct QueryResult {
 /// pins the latest published version for its lifetime, and
 /// `applyUpdates()` publishes the next version without blocking in-flight
 /// queries (they finish on the version they pinned). The graph / store
-/// (and any landmark cache) must outlive the engine.
+/// must outlive the engine.
 template <class StoreT>
 class BasicQueryEngine {
   static_assert(is_store_v<StoreT>,
@@ -325,17 +325,19 @@ public:
   BasicQueryEngine(const Graph &G, Options Opts = {});
 
   /// Live mode: queries run against `Store.current()`, pinned per query.
-  /// With `Options::NumLandmarks > 0` the engine builds an ALT cache from
-  /// a compacted copy of the construction-time version and *keeps serving
-  /// it through increase-only batches* — weight increases and deletions
-  /// only grow true distances, so bounds computed on an older version stay
-  /// admissible (and consistent) on newer ones. The first batch containing
-  /// an insert or a weight decrease retires the cache (A* falls back to
-  /// the coordinate heuristic, or plain PPSP without coordinates), and
-  /// every compaction rebuilds it from the freshly compacted base. The
-  /// policy tracks batches applied through `applyUpdates` on this engine —
-  /// route updates through the engine, not the store, when landmarks are
-  /// enabled.
+  /// With `Options::NumLandmarks > 0` the engine builds an ALT cache once,
+  /// from a compacted copy of the construction-time version, and serves it
+  /// while every current edge weighs at least its *build weight* and
+  /// nothing has been added — true distances can then only have grown, so
+  /// the bounds stay admissible and consistent through deletions, weight
+  /// increases, and restores back to the build weight. `applyUpdates`
+  /// checks each upsert against the build graph
+  /// (`LandmarkCache::admits`); the first absent or lighter edge, or any
+  /// growth of the universe, retires the cache for good before the store
+  /// publishes (A* then falls back to the coordinate heuristic, or plain
+  /// PPSP without coordinates). Compactions change nothing. The check
+  /// sees only batches applied through this engine — route updates through
+  /// the engine, not the store, when landmarks are enabled.
   BasicQueryEngine(StoreT &Store, Options Opts = {});
 
   ~BasicQueryEngine();
@@ -370,31 +372,34 @@ public:
   /// pinned; queries submitted after this call see the new one. With a
   /// hot-source cache (`Options::HotSourceCapacity`), every cached state
   /// is repaired to the new version before this returns — repeat-source
-  /// queries pay O(affected) per version instead of a fresh run.
+  /// queries pay O(affected) per version instead of a fresh run. An upsert
+  /// the landmark cache does not admit retires it first (see the live
+  /// constructor). Takes no engine lock.
   typename StoreT::ApplyResult
   applyUpdates(const std::vector<EdgeUpdate> &Batch);
 
   /// Live mode only: grows the vertex universe through the store (see
   /// SnapshotStore::addVertices) and threads the growth through the
   /// engine — pooled states and hot states resize, submit() accepts the
-  /// new ids, and the landmark cache (sized to the old universe) is
-  /// retired until the next compaction rebuilds it. Route insertions
-  /// through the engine, not the store, exactly like update batches.
+  /// new ids, and the landmark cache (sized to the build universe) retires
+  /// for good. Route insertions through the engine, not the store, exactly
+  /// like update batches.
   VertexId addVertices(Count HowMany,
                        const Coordinates *TailCoords = nullptr);
 
   /// Live mode only: detaches \p External (deletes every incident edge
   /// through the store — see Store::removeVertex) and recycles its id.
-  /// Deletions only grow true distances, so the landmark cache stays
-  /// admissible; hot states are repaired from the batch's applied
+  /// Deletions only grow true distances, so the landmark cache keeps
+  /// serving; hot states are repaired from the batch's applied
   /// transitions exactly like applyUpdates. The vertex stays in-universe
   /// (isolated), so in-flight and future queries naming it stay valid.
+  /// Takes no engine lock.
   typename StoreT::ApplyResult removeVertex(VertexId External);
 
-  /// Live mode only: pops a freed id (zero-growth reuse) or grows the
-  /// universe by one through addVertices — pooled states, hot states and
-  /// submit() validation all track the growth. See Store::acquireVertex
-  /// for the reused-coordinate caveat.
+  /// Live mode only: pops a freed id (zero-growth reuse, which keeps the
+  /// landmark cache serving) or grows the universe by one exactly like
+  /// addVertices. See Store::acquireVertex for the reused-coordinate
+  /// caveat.
   VertexId acquireVertex(const Coordinates *OneCoord = nullptr);
 
   /// Freed ids awaiting reuse in the underlying store (live mode; 0 in
@@ -423,15 +428,17 @@ public:
   /// whether batching ever engaged, without racing its collapse.
   int64_t maxBatchWindowMicros() const;
 
-  /// The ALT cache (null when Options::NumLandmarks == 0). In live mode
-  /// the returned snapshot is the *current* cache — it stays valid after a
-  /// rebuild retires it from serving.
-  std::shared_ptr<const LandmarkCache> landmarks() const;
+  /// The ALT cache (null when Options::NumLandmarks == 0), built at
+  /// construction and kept for the engine's lifetime — retirement stops
+  /// serving it but never replaces it.
+  std::shared_ptr<const LandmarkCache> landmarks() const { return Landmarks; }
 
-  /// Live mode: true while the landmark cache is admissible for new
-  /// queries (no insert/decrease since its build). Fixed-graph caches are
-  /// always usable.
-  bool landmarksUsable() const;
+  /// True while A* queries use the landmark cache: it exists and, in live
+  /// mode, no upsert it does not admit and no growth has retired it.
+  /// Fixed-graph caches are always usable.
+  bool landmarksUsable() const {
+    return Landmarks && !LandmarksRetired.load();
+  }
 
   /// The external-to-internal id mapping in effect (identity unless the
   /// engine or its store reorders).
@@ -513,7 +520,6 @@ private:
                      const CancelToken *Cancel) const;
   template <typename GraphT>
   QueryResult runOneOn(const GraphT &G, const Query &Q, DistanceState &State,
-                       uint64_t SnapVersion,
                        const CancelToken *Cancel) const;
 
   /// Serves \p QI from a hot source state if one exists at exactly the
@@ -529,17 +535,12 @@ private:
   /// space.
   bool serveFromHot(const Query &QI, uint64_t Ver, QueryResult &R) const;
 
-  /// The landmark cache to use for a query pinned at \p SnapVersion, or
-  /// null when none is admissible for that version.
-  std::shared_ptr<const LandmarkCache>
-  landmarksFor(uint64_t SnapVersion) const;
-
-  /// Live mode: refreshes landmark bookkeeping for one applied batch
-  /// (invalidate on insert/decrease, rebuild after compaction). Takes
-  /// LandmarkMu only for the final flag and pointer swaps — the expensive
-  /// cache rebuild runs with no lock that a query ever touches.
-  void noteAppliedBatch(const typename StoreT::ApplyResult &R,
-                        bool WasAdmissible) REQUIRES(LandmarkWriterMu);
+  /// The growth routine behind addVertices and acquireVertex: runs the
+  /// store call \p StoreGrow under GrowthMu and, when the universe grew,
+  /// retires the landmark cache, publishes the new size to submit(), and
+  /// grows the pooled and hot states.
+  template <typename StoreGrowFn>
+  VertexId growUniverse(const StoreGrowFn &StoreGrow) EXCLUDES(GrowthMu);
 
   const Graph *StaticG = nullptr;   ///< fixed-graph mode
   StoreT *Store = nullptr;          ///< live mode
@@ -553,23 +554,18 @@ private:
   const VertexMapping *Map;         ///< mapping in effect (never null)
   StatePool Pool;
 
-  /// Landmark state. The cheap flag/pointer fields are guarded by
-  /// LandmarkMu (queries take it for a few loads per A* run, in fixed and
-  /// live mode alike — uncontended in fixed mode, where nothing mutates
-  /// after construction); LandmarkWriterMu serializes applyUpdates end to
-  /// end so admissibility tracking observes batches in order and cache
-  /// rebuilds (K full SSSPs) never run under a lock a query waits on. The
-  /// writer lock nests strictly outside the flag lock — the
-  /// ACQUIRED_BEFORE edge makes the analysis, not a comment, own that
-  /// ordering. (The hot cache's internal locks are leaves reached from
-  /// under LandmarkWriterMu via applyUpdates → repairAll.)
-  mutable Mutex LandmarkMu;
-  Mutex LandmarkWriterMu ACQUIRED_BEFORE(LandmarkMu);
-  std::shared_ptr<const LandmarkCache> Landmarks GUARDED_BY(LandmarkMu);
-  bool LandmarksAdmissible GUARDED_BY(LandmarkMu) = false;
-  /// Version the cache was built on.
-  uint64_t LandmarkVersion GUARDED_BY(LandmarkMu) = 0;
-  uint64_t SeenCompactions GUARDED_BY(LandmarkWriterMu) = 0;
+  /// The ALT cache: set in the constructor, before any worker starts, and
+  /// never reassigned, so workers read it without a lock.
+  std::shared_ptr<const LandmarkCache> Landmarks;
+  /// One-way: set before the store publishes the first version the cache
+  /// might not bound. Pinning and publishing share the store's lock, so a
+  /// query that pins that version sees the flag.
+  std::atomic<bool> LandmarksRetired{false};
+  /// Serializes engine-routed universe growth, so growUniverse's
+  /// before/after size comparison sees only its own store call. (The hot
+  /// cache's internal locks are leaves reached from under it via
+  /// growAll.)
+  Mutex GrowthMu;
 
   /// Hot source states: a striped (source, version)-keyed cache of warm
   /// SSSP solutions, private to this engine unless the caller passed
@@ -582,7 +578,7 @@ private:
   /// sharing engine). Atomic: workers serve hits from const runOne.
   mutable std::atomic<uint64_t> HotHits_{0};
 
-  /// The queue mutex. Never nested with the landmark or hot-state locks:
+  /// The queue mutex. Never nested with the growth or hot-state locks:
   /// workers drop it before running a query and re-take it to publish the
   /// result.
   mutable Mutex Mu;

@@ -544,8 +544,7 @@ ShardedSnapshotStore::publishLocked(const std::vector<int> &Touched,
   // Publication is all-or-nothing: every fallible step (the snapshot
   // copies and the composite view — plus the snapshot.publish fail point)
   // runs before any version state mutates, with bounded retries, so a
-  // failed attempt leaves versions, the composite, and DirtySince
-  // untouched.
+  // failed attempt leaves the versions and the composite untouched.
   std::shared_ptr<ShardedDeltaView> View;
   for (int Attempt = 0;; ++Attempt) {
     try {
@@ -561,10 +560,8 @@ ShardedSnapshotStore::publishLocked(const std::vector<int> &Touched,
         throw;
     }
   }
-  for (int S : Touched) {
+  for (int S : Touched)
     ++ShardVersions[static_cast<size_t>(S)];
-    Shards[static_cast<size_t>(S)]->DirtySince = Version + 1;
-  }
   ++Version;
   View->setVersions(Version, ShardVersions);
   Cur = std::move(View);
@@ -952,14 +949,6 @@ void ShardedSnapshotStore::foldShardBody(
     noteShardFoldFailure(Sh, S, Err);
   }
   Sh.FoldCv.notify_all();
-}
-
-void ShardedSnapshotStore::compactAll() {
-  // Deprecated as a global fold: a tripped trigger now folds only its own
-  // shard, and this entry point just walks the incremental path shard by
-  // shard — never holding more than one shard lock at a time.
-  for (int S = 0; S < numShards(); ++S)
-    compactShard(S);
 }
 
 void ShardedSnapshotStore::compactAllGlobal() {

@@ -158,7 +158,7 @@ public:
   /// The latest published version together with its version number, read
   /// atomically (a separate current() + version() pair can tear across a
   /// concurrent publish). Consumers that cache auxiliary structures per
-  /// version (the QueryEngine's live landmark cache) need the pair.
+  /// version (the QueryEngine's hot source states) need the pair.
   std::pair<Snapshot, uint64_t> currentVersioned() const;
 
   /// Monotonic version counter (0 = the seed base graph).
@@ -441,7 +441,6 @@ private:
     /// the unanalyzable part, and everything above it stays annotated.
     Mutex Mu;
     DeltaGraph Writer;
-    uint64_t DirtySince = 0; ///< diagnostic: last version this shard changed
     /// Incremental-compaction state (all under Mu). The fold thread takes
     /// only *this* shard's Mu — cross-shard lock coupling in a fold path
     /// is a bug (the fault-isolation stress schedule would deadlock).
@@ -488,11 +487,8 @@ private:
   void noteShardFoldOk(Shard &Sh) EXCLUDES(ReadMu);
   void noteShardFoldFailure(Shard &Sh, int S, const std::string &Why)
       EXCLUDES(ReadMu);
-  /// Deprecated: a tripped trigger now folds only its own shard; this
-  /// loops compactShard over all shards (tests / operator-forced fold).
-  /// The old all-locks global rebuild lives in compactAllGlobal, kept
-  /// solely for Options::LegacyGlobalRebuild.
-  void compactAll() EXCLUDES(ReadMu);
+  /// The old all-locks global rebuild, kept solely for
+  /// Options::LegacyGlobalRebuild.
   void compactAllGlobal() EXCLUDES(ReadMu);
 
   /// Guards the composite pointer, version vector, and health flags.

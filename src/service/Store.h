@@ -28,10 +28,10 @@
 ///    `removeVertex(id)`, `acquireVertex(coords)`, `freeVertexCount()`,
 ///    `waitForCompaction()`.
 ///
-/// The check is a C++17 detection-idiom trait (`is_store_v`), promoted to
-/// a real `concept` when compiled under C++20 — the engine static_asserts
-/// it, so plugging in a type missing part of the surface fails with one
-/// readable diagnostic instead of a page of member-lookup errors.
+/// The check is a C++17 detection-idiom trait (`is_store_v`) — the engine
+/// static_asserts it, so plugging in a type missing part of the surface
+/// fails with one readable diagnostic instead of a page of member-lookup
+/// errors.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,13 +94,6 @@ struct StoreSurface<
 /// True when \p S models the Store concept above.
 template <typename S>
 inline constexpr bool is_store_v = detail::StoreSurface<void, S>::value;
-
-#if defined(__cpp_concepts) && __cpp_concepts >= 201907L
-/// The same surface as a real concept (C++20 and later): identical
-/// membership to `is_store_v`, but usable in requires-clauses.
-template <typename S>
-concept Store = is_store_v<S>;
-#endif
 
 } // namespace graphit
 

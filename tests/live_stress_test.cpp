@@ -19,6 +19,7 @@
 
 #include "stress_harness.h"
 
+#include "algorithms/Dijkstra.h"
 #include "graph/Builder.h"
 #include "graph/Generators.h"
 #include "service/QueryEngine.h"
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace graphit;
@@ -244,6 +246,201 @@ TEST(LiveStress, HotStateAStarOnIncreaseOnlyStream) {
     Engine.applyUpdates(Batch);
   }
   EXPECT_GT(Engine.hotHits(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Live ALT under road_live's incident stream: landmarks built once keep
+// serving while incidents raise edges and clearing them restores the build
+// weight, through deletions, a vertex removal and compactions, and A* stays
+// exact against PPSP and Dijkstra.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// road_live's incident writer over the build graph's undirected edges, in
+/// external ids: opens incidents (weight x2-4) on edges still at their
+/// build weight, clears open ones back to it, and now and then deletes an
+/// edge for good.
+class IncidentStream {
+public:
+  IncidentStream(const Graph &Base, uint64_t Seed) : Rng(Seed) {
+    for (Count U = 0; U < Base.numNodes(); ++U)
+      for (WNode E : Base.outNeighbors(static_cast<VertexId>(U)))
+        if (static_cast<VertexId>(U) < E.V)
+          Edges.push_back({static_cast<VertexId>(U), E.V, E.W, State::Build});
+  }
+
+  std::vector<EdgeUpdate> nextBatch(size_t Size) {
+    std::vector<EdgeUpdate> Batch;
+    while (Batch.size() < Size) {
+      // Clearing with probability |Open| / (2 * target) holds the open set
+      // near the target, as road_live's writer does.
+      if (Rng.nextInt(0, 2 * kOpenTarget) <
+          static_cast<int64_t>(Open.size())) {
+        const auto I = static_cast<size_t>(
+            Rng.nextInt(0, static_cast<int64_t>(Open.size())));
+        Edge &E = Edges[Open[I]];
+        Open[I] = Open.back();
+        Open.pop_back();
+        E.S = State::Build;
+        Batch.push_back(EdgeUpdate{E.U, E.V, E.W, UpdateKind::Upsert});
+        continue;
+      }
+      const auto I = static_cast<size_t>(
+          Rng.nextInt(0, static_cast<int64_t>(Edges.size())));
+      Edge &E = Edges[I];
+      if (E.S != State::Build)
+        continue;
+      if (Rng.nextInt(0, 16) == 0) {
+        E.S = State::Deleted;
+        Batch.push_back(EdgeUpdate{E.U, E.V, 0, UpdateKind::Delete});
+      } else {
+        E.S = State::Open;
+        Open.push_back(I);
+        Batch.push_back(EdgeUpdate{
+            E.U, E.V, static_cast<Weight>(E.W * Rng.nextInt(2, 5)),
+            UpdateKind::Upsert});
+      }
+    }
+    return Batch;
+  }
+
+  /// Marks every edge at \p V deleted, as removeVertex does in the store.
+  void detach(VertexId V) {
+    for (Edge &E : Edges)
+      if (E.U == V || E.V == V)
+        E.S = State::Deleted;
+    Open.erase(std::remove_if(Open.begin(), Open.end(),
+                              [&](size_t I) {
+                                return Edges[I].S == State::Deleted;
+                              }),
+               Open.end());
+  }
+
+  size_t openIncidents() const { return Open.size(); }
+
+private:
+  static constexpr int64_t kOpenTarget = 32;
+  enum class State { Build, Open, Deleted };
+  struct Edge {
+    VertexId U, V;
+    Weight W;
+    State S;
+  };
+  SplitMix64 Rng;
+  std::vector<Edge> Edges;
+  std::vector<size_t> Open;
+};
+
+void serveIncidentStream(ReorderKind Reorder, uint64_t Seed) {
+  StressConfig C;
+  C.Seed = Seed;
+  C.Rounds = 30;
+  std::string Banner = applyStressEnv(C);
+  std::printf("%s\n", Banner.c_str());
+
+  constexpr Count Side = 40;
+  RoadNetwork Net = roadGrid(Side, Side, C.Seed);
+  BuildOptions BO;
+  BO.Symmetrize = true;
+  Graph Base =
+      GraphBuilder(BO).build(Net.NumNodes, Net.Edges, std::move(Net.Coords));
+
+  SnapshotStore::Options StoreOpts;
+  StoreOpts.Reorder = Reorder;
+  // Synchronous folds, small enough that the stream folds several times.
+  StoreOpts.CompactionThreshold = 0.02;
+  StoreOpts.MinOverlayEdges = 64;
+  SnapshotStore Store(Base, StoreOpts);
+
+  QueryEngine::Options AltOpts;
+  AltOpts.NumWorkers = 2;
+  AltOpts.DefaultSchedule.configApplyPriorityUpdateDelta(1024);
+  AltOpts.HotSourceCapacity = 4;
+  AltOpts.NumLandmarks = 8;
+  QueryEngine Alt(Store, AltOpts);
+  // The same trips with the coordinate bound alone, on the same versions.
+  QueryEngine::Options CoordOpts = AltOpts;
+  CoordOpts.HotSourceCapacity = 0;
+  CoordOpts.NumLandmarks = 0;
+  QueryEngine Coord(Store, CoordOpts);
+
+  // Warmed every round, so each batch repairs a hot state; trips never
+  // start here, since a hot source is served without a bound.
+  const VertexId Depot = 0;
+  const VertexId Removed = (Side / 2) * Side + Side / 2;
+  IncidentStream Incidents(Base, C.Seed);
+  int64_t AltVertices = 0, CoordVertices = 0;
+  for (int Round = 0; Round < C.Rounds; ++Round) {
+    ASSERT_TRUE(Alt.landmarksUsable()) << "round " << Round;
+    Query Warm;
+    Warm.Kind = QueryKind::SSSP;
+    Warm.Source = Depot;
+    ASSERT_EQ(Alt.runBatch({Warm})[0].Status, QueryStatus::Ok);
+
+    std::vector<Query> AStarTrips, PPSPTrips;
+    const uint64_t TripSeed = C.Seed + static_cast<uint64_t>(Round);
+    for (auto [S, T] :
+         localGridQueryPairs(Side, Side, Side / 4, 24, TripSeed)) {
+      if (S == Depot || AStarTrips.size() == 16)
+        continue;
+      Query A;
+      A.Kind = QueryKind::AStar;
+      A.Source = S;
+      A.Target = T;
+      AStarTrips.push_back(A);
+      A.Kind = QueryKind::PPSP;
+      PPSPTrips.push_back(A);
+    }
+    ASSERT_EQ(AStarTrips.size(), 16u);
+    std::vector<QueryResult> AltR = Alt.runBatch(AStarTrips);
+    std::vector<QueryResult> PPSPR = Alt.runBatch(PPSPTrips);
+    std::vector<QueryResult> CoordR = Coord.runBatch(AStarTrips);
+    const Graph Compact = Store.current()->compact();
+    const VertexMapping &Map = Store.mapping();
+    for (size_t I = 0; I < AStarTrips.size(); ++I) {
+      const Query &Q = AStarTrips[I];
+      const Priority Want = dijkstraPPSP(Compact, Map.toInternal(Q.Source),
+                                         Map.toInternal(Q.Target));
+      ASSERT_EQ(AltR[I].Dist, Want) << "round " << Round << " trip " << I;
+      ASSERT_EQ(PPSPR[I].Dist, Want) << "round " << Round << " trip " << I;
+      ASSERT_EQ(CoordR[I].Dist, Want) << "round " << Round << " trip " << I;
+      AltVertices += AltR[I].Stats.VerticesProcessed;
+      CoordVertices += CoordR[I].Stats.VerticesProcessed;
+    }
+
+    if (Round == C.Rounds / 3) {
+      Alt.removeVertex(Removed);
+      Incidents.detach(Removed);
+    }
+    Alt.applyUpdates(Incidents.nextBatch(16));
+  }
+  EXPECT_TRUE(Alt.landmarksUsable());
+  EXPECT_GE(Store.compactions(), 2u);
+  EXPECT_GT(Alt.hotRepairs(), 0u);
+  EXPECT_LT(AltVertices, CoordVertices);
+  std::printf("incident stream: %llu compactions, %zu open incidents, "
+              "vertices processed ALT/coordinate %lld/%lld = %.2f\n",
+              static_cast<unsigned long long>(Store.compactions()),
+              Incidents.openIncidents(), static_cast<long long>(AltVertices),
+              static_cast<long long>(CoordVertices),
+              static_cast<double>(AltVertices) /
+                  static_cast<double>(CoordVertices));
+}
+
+} // namespace
+
+TEST(LiveStress, LandmarksServeAnIncidentStream) {
+  {
+    SCOPED_TRACE("identity store");
+    serveIncidentStream(ReorderKind::None, 0x1AC1DE);
+  }
+  {
+    // External batches and trips meet the internal build graph only
+    // through the store's mapping.
+    SCOPED_TRACE("Bfs-reordered store");
+    serveIncidentStream(ReorderKind::Bfs, 0x1AC1DF);
+  }
 }
 
 //===----------------------------------------------------------------------===//

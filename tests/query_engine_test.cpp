@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <thread>
 
@@ -575,128 +576,165 @@ TEST(QueryEngineLive, PermutedStoreMixedBatchRoundTrips) {
 }
 
 //===----------------------------------------------------------------------===//
-// Live landmark refresh policy
+// Live landmarks kept by their build weights
 //===----------------------------------------------------------------------===//
 
-TEST(QueryEngineLive, LandmarksServeThroughIncreaseOnlyBatches) {
-  Graph G = roadWithCoords(24, 61);
-  SnapshotStore Store(G);
+namespace {
+
+QueryEngine::Options liveAltOptions() {
   QueryEngine::Options Opts;
   Opts.NumWorkers = 2;
   Opts.NumLandmarks = 4;
   Opts.DefaultSchedule.Delta = 2048;
-  QueryEngine Engine(Store, Opts);
-  ASSERT_NE(Engine.landmarks(), nullptr);
-  EXPECT_TRUE(Engine.landmarksUsable());
-
-  auto checkAStarAgainstPPSP = [&](int Tag) {
-    SplitMix64 Rng(100 + Tag);
-    for (int I = 0; I < 12; ++I) {
-      Query A;
-      A.Kind = QueryKind::AStar;
-      A.Source = static_cast<VertexId>(Rng.nextInt(0, G.numNodes()));
-      A.Target = static_cast<VertexId>(Rng.nextInt(0, G.numNodes()));
-      Query P = A;
-      P.Kind = QueryKind::PPSP;
-      std::vector<QueryResult> R = Engine.runBatch({A, P});
-      ASSERT_EQ(R[0].Dist, R[1].Dist) << "tag " << Tag << " query " << I;
-    }
-  };
-
-  // Increase-only batch (weight increases + deletions): the cache keeps
-  // serving — admissible bounds only get slacker when distances grow.
-  std::vector<EdgeUpdate> IncreaseOnly;
-  {
-    SnapshotStore::Snapshot Snap = Store.current();
-    SplitMix64 Rng(9);
-    for (int I = 0; I < 20; ++I) {
-      VertexId U = static_cast<VertexId>(Rng.nextInt(0, G.numNodes()));
-      auto R = Snap->outNeighbors(U);
-      if (R.size() == 0)
-        continue;
-      WNode E = *R.begin();
-      if (I % 5 == 0)
-        IncreaseOnly.push_back(EdgeUpdate{U, E.V, 0, UpdateKind::Delete});
-      else
-        IncreaseOnly.push_back(EdgeUpdate{
-            U, E.V, static_cast<Weight>(E.W + 100), UpdateKind::Upsert});
-    }
-  }
-  Engine.applyUpdates(IncreaseOnly);
-  EXPECT_TRUE(Engine.landmarksUsable())
-      << "increase-only batch must not retire the landmark cache";
-  checkAStarAgainstPPSP(1);
-
-  // A weight decrease breaks admissibility: the cache is retired and A*
-  // falls back to the coordinate heuristic — results stay correct.
-  {
-    SnapshotStore::Snapshot Snap = Store.current();
-    VertexId U = 0;
-    while (Snap->outDegree(U) == 0)
-      ++U;
-    WNode E = *Snap->outNeighbors(U).begin();
-    Engine.applyUpdates({EdgeUpdate{
-        U, E.V, static_cast<Weight>(std::max<Weight>(1, E.W - 1)),
-        UpdateKind::Upsert}});
-  }
-  EXPECT_FALSE(Engine.landmarksUsable())
-      << "a decrease must retire the landmark cache";
-  checkAStarAgainstPPSP(2);
+  return Opts;
 }
 
-TEST(QueryEngineLive, LandmarksRebuildOnCompaction) {
-  Graph G = roadWithCoords(24, 62);
-  SnapshotStore::Options StoreOpts;
-  // Low enough that the filler batches below trip compaction, high enough
-  // that the single decrease (two mirrored patch lists) does not.
-  StoreOpts.CompactionThreshold = 0.01;
-  StoreOpts.MinOverlayEdges = 64;
-  SnapshotStore Store(G, StoreOpts);
-  QueryEngine::Options Opts;
-  Opts.NumWorkers = 1;
-  Opts.NumLandmarks = 3;
-  Opts.DefaultSchedule.Delta = 2048;
-  QueryEngine Engine(Store, Opts);
-
-  // Retire the cache with a decrease...
-  SnapshotStore::Snapshot Snap = Store.current();
-  VertexId U = 0;
-  while (Snap->outDegree(U) == 0)
-    ++U;
-  WNode E = *Snap->outNeighbors(U).begin();
-  Engine.applyUpdates({EdgeUpdate{
-      U, E.V, static_cast<Weight>(std::max<Weight>(1, E.W / 2)),
-      UpdateKind::Upsert}});
-  EXPECT_FALSE(Engine.landmarksUsable());
-
-  // ... then grow the overlay past the (tiny) threshold: the triggered
-  // compaction rebuilds the cache from the fresh base, re-arming ALT.
-  SplitMix64 Rng(5150);
-  uint64_t Before = Store.compactions();
-  for (int Round = 0; Round < 50 && Store.compactions() == Before;
-       ++Round) {
-    // Inserted weights must respect the generator's w >= 100 x Euclidean
-    // invariant (algorithms/AStar.h) or the coordinate heuristic itself
-    // becomes inadmissible; the shared generator floors every weight at
-    // 100 x the coordinate-bounding-box diagonal.
-    Engine.applyUpdates(coordinateSafeInsertBatch(G, 64, Rng));
-  }
-  ASSERT_GT(Store.compactions(), Before);
-  // The engine notices the compaction on the next batch through it.
-  Engine.applyUpdates({});
-  EXPECT_TRUE(Engine.landmarksUsable())
-      << "compaction must rebuild and re-arm the landmark cache";
-
-  SplitMix64 Rng2(717);
-  for (int I = 0; I < 8; ++I) {
+/// A* must equal PPSP on the current version, whether or not the landmark
+/// cache still serves: random trips plus the trip across edge U → V, the
+/// one a bound computed on a stale weight of that edge would get wrong.
+void expectAStarEqualsPPSP(QueryEngine &Engine, Count N, uint64_t Seed,
+                           VertexId U, VertexId V) {
+  SplitMix64 Rng(Seed);
+  for (int I = 0; I < 12; ++I) {
     Query A;
     A.Kind = QueryKind::AStar;
-    A.Source = static_cast<VertexId>(Rng2.nextInt(0, G.numNodes()));
-    A.Target = static_cast<VertexId>(Rng2.nextInt(0, G.numNodes()));
+    A.Source = I == 0 ? U : static_cast<VertexId>(Rng.nextInt(0, N));
+    A.Target = I == 0 ? V : static_cast<VertexId>(Rng.nextInt(0, N));
     Query P = A;
     P.Kind = QueryKind::PPSP;
     std::vector<QueryResult> R = Engine.runBatch({A, P});
-    ASSERT_EQ(R[0].Dist, R[1].Dist) << "query " << I;
+    EXPECT_EQ(R[0].Status, QueryStatus::Ok) << "trip " << I;
+    EXPECT_EQ(R[0].Dist, R[1].Dist) << "trip " << I;
+  }
+}
+
+/// An edge U → V whose weight exceeds 100 x its Euclidean length, so it can
+/// drop to that floor — below its build weight — and the coordinate bound
+/// stays admissible (the generator's invariant, algorithms/AStar.h).
+struct LowerableEdge {
+  VertexId U = kInvalidVertex, V = kInvalidVertex;
+  Weight Floor = 0;
+};
+
+LowerableEdge findLowerableEdge(const Graph &G) {
+  const Coordinates &C = G.coordinates();
+  for (Count U = 0; U < G.numNodes(); ++U)
+    for (WNode E : G.outNeighbors(static_cast<VertexId>(U))) {
+      const double Len = std::hypot(C.X[U] - C.X[E.V], C.Y[U] - C.Y[E.V]);
+      const auto Floor = static_cast<Weight>(std::ceil(100.0 * Len));
+      if (E.W > Floor)
+        return {static_cast<VertexId>(U), E.V, Floor};
+    }
+  return {};
+}
+
+} // namespace
+
+TEST(QueryEngineLive, LandmarksServeThroughRaiseAndRestore) {
+  Graph G = roadWithCoords(24, 61);
+  SnapshotStore Store(G);
+  QueryEngine Engine(Store, liveAltOptions());
+  ASSERT_NE(Engine.landmarks(), nullptr);
+  EXPECT_TRUE(Engine.landmarksUsable());
+
+  // An incident triples an edge, and clearing it restores the build
+  // weight: no weight ever drops below the one the landmarks were built
+  // on, so the cache serves throughout.
+  const VertexId U = 0;
+  const WNode E = *G.outNeighbors(U).begin();
+  Engine.applyUpdates({EdgeUpdate{U, E.V, E.W * 3, UpdateKind::Upsert}});
+  EXPECT_TRUE(Engine.landmarksUsable()) << "a raise must not retire the cache";
+  expectAStarEqualsPPSP(Engine, G.numNodes(), 1, U, E.V);
+
+  Engine.applyUpdates({EdgeUpdate{U, E.V, E.W, UpdateKind::Upsert}});
+  EXPECT_TRUE(Engine.landmarksUsable())
+      << "restoring the build weight must not retire the cache";
+  expectAStarEqualsPPSP(Engine, G.numNodes(), 2, U, E.V);
+}
+
+TEST(QueryEngineLive, LandmarksRetireForGoodBelowBuildWeight) {
+  Graph G = roadWithCoords(24, 62);
+  SnapshotStore::Options StoreOpts;
+  // Low enough that the filler batches below trip compaction.
+  StoreOpts.CompactionThreshold = 0.01;
+  StoreOpts.MinOverlayEdges = 64;
+  SnapshotStore Store(G, StoreOpts);
+  QueryEngine Engine(Store, liveAltOptions());
+
+  const LowerableEdge L = findLowerableEdge(G);
+  ASSERT_NE(L.U, kInvalidVertex);
+  Engine.applyUpdates({EdgeUpdate{L.U, L.V, L.Floor, UpdateKind::Upsert}});
+  EXPECT_FALSE(Engine.landmarksUsable())
+      << "a weight below the build weight must retire the cache";
+  expectAStarEqualsPPSP(Engine, G.numNodes(), 3, L.U, L.V);
+
+  // A compaction folds the lighter edge into the base; the cache was built
+  // on the heavier one and stays retired.
+  SplitMix64 Rng(5150);
+  const uint64_t Before = Store.compactions();
+  for (int Round = 0; Round < 50 && Store.compactions() == Before; ++Round)
+    Engine.applyUpdates(coordinateSafeInsertBatch(G, 64, Rng));
+  ASSERT_GT(Store.compactions(), Before);
+  Engine.applyUpdates({});
+  EXPECT_FALSE(Engine.landmarksUsable())
+      << "a compaction must not re-arm a retired cache";
+  expectAStarEqualsPPSP(Engine, G.numNodes(), 4, L.U, L.V);
+}
+
+TEST(QueryEngineLive, LandmarksRetireOnNewEdgesAndGrowthNotOnRemoval) {
+  Graph G = roadWithCoords(24, 63);
+
+  {
+    // An edge the build graph lacks, at a coordinate-safe weight.
+    SnapshotStore Store(G);
+    QueryEngine Engine(Store, liveAltOptions());
+    SplitMix64 Rng(7);
+    EdgeUpdate Insert;
+    for (const EdgeUpdate &Up : coordinateSafeInsertBatch(G, 64, Rng)) {
+      bool Present = false;
+      for (WNode E : G.outNeighbors(Up.Src))
+        Present |= E.V == Up.Dst;
+      if (!Present) {
+        Insert = Up;
+        break;
+      }
+    }
+    ASSERT_NE(Insert.Src, Insert.Dst);
+    Engine.applyUpdates({Insert});
+    EXPECT_FALSE(Engine.landmarksUsable())
+        << "an edge absent from the build graph must retire the cache";
+    expectAStarEqualsPPSP(Engine, G.numNodes(), 5, Insert.Src, Insert.Dst);
+  }
+
+  {
+    SnapshotStore Store(G);
+    QueryEngine Engine(Store, liveAltOptions());
+    Engine.addVertices(1);
+    EXPECT_FALSE(Engine.landmarksUsable()) << "growth must retire the cache";
+    expectAStarEqualsPPSP(Engine, G.numNodes(), 6, 0, 1);
+  }
+
+  {
+    // Removal deletes edges, and re-wiring the recycled id at the build
+    // weights restores them: the cache serves throughout.
+    SnapshotStore Store(G);
+    QueryEngine Engine(Store, liveAltOptions());
+    const VertexId V = 5 * 24 + 5;
+    std::vector<EdgeUpdate> Rewire;
+    for (WNode E : G.outNeighbors(V))
+      Rewire.push_back(EdgeUpdate{V, E.V, E.W, UpdateKind::Upsert});
+    ASSERT_FALSE(Rewire.empty());
+
+    Engine.removeVertex(V);
+    EXPECT_TRUE(Engine.landmarksUsable())
+        << "removing a vertex must not retire the cache";
+    expectAStarEqualsPPSP(Engine, G.numNodes(), 7, V, Rewire[0].Dst);
+
+    ASSERT_EQ(Engine.acquireVertex(), V);
+    Engine.applyUpdates(Rewire);
+    EXPECT_TRUE(Engine.landmarksUsable())
+        << "restoring edges at their build weights must not retire the cache";
+    expectAStarEqualsPPSP(Engine, G.numNodes(), 8, V, Rewire[0].Dst);
   }
 }
 

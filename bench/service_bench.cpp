@@ -371,17 +371,6 @@ typename EngineT::Options openLoopOpts(int NumWorkers, bool Controller) {
   if (Controller) {
     Opts.ClassSlo[0] = kPremiumSloTargetMicros;
     Opts.ControllerIntervalMicros = 20000;
-    Opts.ControllerMinSamples = 16;
-    // Damp the relax side: the quantized knob ladder has no state whose
-    // p99 sits inside a narrow dead band, so with the default slack
-    // fraction the loop limit-cycles (relax probe, tighten correction,
-    // repeat). A wide dead band + longer hysteresis makes relax probes
-    // rare once the tight state holds the target.
-    Opts.ControllerSlackFraction = 0.45;
-    Opts.ControllerHysteresisTicks = 4;
-    Opts.ControllerMinHighWater = 32;
-    Opts.ControllerMinSoftWater = 16;
-    Opts.ControllerMinBatchDelayMicros = 0;
   }
   return Opts;
 }
@@ -542,7 +531,6 @@ void runBatchSweep(const Graph &G, Count Side) {
     Opts.NumWorkers = 4;
     Opts.DefaultSchedule.Delta = 1024;
     Opts.MaxBatchDelayMicros = Window;
-    Opts.MaxBatchSize = 16;
     QueryEngine Engine(G, Opts);
 
     std::vector<std::unique_ptr<LatencyHistogram>> Hists;
@@ -585,7 +573,8 @@ void runBatchSweep(const Graph &G, Count Side) {
                 static_cast<long long>(Window), Qps,
                 static_cast<unsigned long long>(All.percentile(50)),
                 static_cast<unsigned long long>(All.percentile(99)),
-                static_cast<long long>(Engine.maxBatchWindowMicros()));
+                static_cast<long long>(
+                    Engine.policyCounters().MaxBatchWindowMicros));
   }
 }
 
@@ -814,9 +803,10 @@ int main(int argc, char **argv) {
     const uint64_t Batches = runPhase(Store, Engine, Side, NumQueries,
                                       OfferedQps, Point.Model, OL);
     const std::vector<ControllerEvent> Trace = Engine.controllerTrace();
+    const ServingPolicy::Counters Ctr = Engine.policyCounters();
     emitOpenLoopLines(Point.Mode, OL, Batches, Point.Tolerance,
-                      Engine.controllerTicks(), Engine.controllerTightens(),
-                      Engine.controllerRelaxes(), NumQueries);
+                      Ctr.ControllerTicks, Ctr.ControllerTightens,
+                      Ctr.ControllerRelaxes, NumQueries);
     printControllerTrace(Point.Mode, Trace);
     if (OL.Failed > 0) {
       std::fprintf(stderr, "service_bench: %llu queries failed (%s)\n",
@@ -876,13 +866,20 @@ int main(int argc, char **argv) {
         printControllerTrace("overload-FAIL", Trace);
         return 1;
       }
+      // The premium p99 above, like the controller's window, counts only
+      // Ok completions: a premium query degraded to its SLO-derived
+      // deadline that runs out, or shed, is neither a sample nor a miss.
+      // Print how many there were over the whole phase.
       std::printf("# overload differential: premium p99 %llu us <= SLO "
                   "%lld us (static %llu us), qps %.1f vs static %.1f, "
-                  "%d flips\n",
+                  "%d flips, premium deadline_exceeded=%llu shed=%llu\n",
                   static_cast<unsigned long long>(PremiumP99),
                   static_cast<long long>(kPremiumSloMicros),
                   static_cast<unsigned long long>(StaticPremiumP99),
-                  OL.CompletedQps, StaticQps, Flips);
+                  OL.CompletedQps, StaticQps, Flips,
+                  static_cast<unsigned long long>(
+                      Ctr.DeadlineExceededInClass[0]),
+                  static_cast<unsigned long long>(Ctr.ShedInClass[0]));
     }
   }
 
@@ -903,10 +900,10 @@ int main(int argc, char **argv) {
       const uint64_t Batches =
           runPhase(SStore, SEngine, Side, NumQueries / 2, 2000.0,
                    ArrivalModel::Poisson, OL);
-      emitOpenLoopLines("sharded", OL, Batches, 1.0,
-                        SEngine.controllerTicks(),
-                        SEngine.controllerTightens(),
-                        SEngine.controllerRelaxes(), NumQueries / 2);
+      const ServingPolicy::Counters Ctr = SEngine.policyCounters();
+      emitOpenLoopLines("sharded", OL, Batches, 1.0, Ctr.ControllerTicks,
+                        Ctr.ControllerTightens, Ctr.ControllerRelaxes,
+                        NumQueries / 2);
       if (OL.Failed > 0) {
         std::fprintf(stderr,
                      "service_bench: %llu queries failed (sharded)\n",

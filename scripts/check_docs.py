@@ -18,7 +18,10 @@ in the `docs` CI job):
    structs out of the headers and fails in BOTH directions: a header
    field missing from the doc table (undocumented option), or a doc row
    naming a field the struct no longer has (stale doc). Renaming or
-   adding an option without touching docs/serving.md fails CI.
+   adding an option without touching docs/serving.md fails CI. A struct
+   that inherits fields (`BasicQueryEngine::Options` takes the serving
+   policy's from `ServingPolicy::Config`) is checked for its own fields;
+   the base struct has its own entry and table.
 
 Exit status: 0 = clean, 1 = findings, 2 = usage/environment error.
 
@@ -35,6 +38,7 @@ import sys
 # it contains the struct name (so "### `BasicQueryEngine::Options`" works).
 OPTION_STRUCTS = {
     "BasicQueryEngine::Options": "src/service/QueryEngine.h",
+    "ServingPolicy::Config": "src/service/ServingPolicy.h",
     "SnapshotStore::Options": "src/service/SnapshotStore.h",
     "ShardedSnapshotStore::Options": "src/service/SnapshotStore.h",
 }
@@ -132,7 +136,7 @@ def check_links(root):
 
 def header_fields(root, struct):
     """Fields of `struct` parsed from its header: the `struct Options`
-    block inside the named class."""
+    block (with or without a base clause) inside the named class."""
     cls, _, inner = struct.partition("::")
     path = os.path.join(root, OPTION_STRUCTS[struct])
     fields = []
@@ -142,7 +146,7 @@ def header_fields(root, struct):
     if not cls_m:
         raise RuntimeError(f"{path}: class {cls} not found")
     sub = text[cls_m.start():]
-    opt_m = re.search(rf"struct {re.escape(inner)}\s*{{", sub)
+    opt_m = re.search(rf"struct {re.escape(inner)}\b[^{{;]*{{", sub)
     if not opt_m:
         raise RuntimeError(f"{path}: struct {struct} not found")
     depth = 0

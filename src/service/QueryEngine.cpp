@@ -20,36 +20,8 @@
 using namespace graphit;
 using namespace graphit::service;
 
-namespace {
-/// Bounded feedback-controller history kept for controllerTrace().
-constexpr size_t kControllerTraceCap = 256;
-
-/// Clamps a caller-supplied class index into range (the public per-class
-/// getters accept anything).
-int clampClass(int C) {
-  if (C < 0)
-    return 0;
-  if (C >= kNumImportanceClasses)
-    return kNumImportanceClasses - 1;
-  return C;
-}
-} // namespace
-
 template <class StoreT>
 void BasicQueryEngine<StoreT>::startWorkers() {
-  {
-    // The controlled knobs start at (and, with the controller off, stay
-    // at) their configured values; the configured values remain the
-    // ceilings the controller may relax back to.
-    MutexLock Lock(Mu);
-    CurBatchDelay_ = Opts.MaxBatchDelayMicros;
-    CurHighWater_ = Opts.AdmissionHighWater;
-    CurSoftWater_ = Opts.AdmissionSoftWater;
-    if (Opts.ControllerIntervalMicros > 0)
-      CtlNextTick_ =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(Opts.ControllerIntervalMicros);
-  }
   int N = Opts.NumWorkers > 0
               ? Opts.NumWorkers
               : static_cast<int>(std::thread::hardware_concurrency());
@@ -63,12 +35,13 @@ template <class StoreT>
 BasicQueryEngine<StoreT>::BasicQueryEngine(const Graph &G, Options O)
     : StaticG(&G), NumNodes(G.numNodes()),
       HasCoordinates(G.hasCoordinates()), Opts(O), OwnMap(G.numNodes()),
-      Map(&OwnMap), Pool(G.numNodes(), O.TrackParents) {
+      Map(&OwnMap), Pool(G.numNodes(), O.TrackParents),
+      Policy(O, std::chrono::steady_clock::now()) {
   if (Opts.Reorder != ReorderKind::None) {
     // Serve a cache-conscious layout internally; the boundary translation
     // in runOne keeps callers in original-id space.
-    OwnedG = std::make_unique<Graph>(reorderGraph(
-        G, Opts.Reorder, &OwnMap, /*Seed=*/0x0EDE5, Opts.ReorderSourceHint));
+    OwnedG =
+        std::make_unique<Graph>(reorderGraph(G, Opts.Reorder, &OwnMap));
     StaticG = OwnedG.get();
   }
   if (Opts.NumLandmarks > 0)
@@ -81,7 +54,8 @@ template <class StoreT>
 BasicQueryEngine<StoreT>::BasicQueryEngine(StoreT &S, Options O)
     : Store(&S), NumNodes(S.current()->numNodes()),
       HasCoordinates(S.current()->hasCoordinates()), Opts(O),
-      Map(&S.mapping()), Pool(NumNodes, O.TrackParents) {
+      Map(&S.mapping()), Pool(NumNodes, O.TrackParents),
+      Policy(O, std::chrono::steady_clock::now()) {
   if (Opts.SharedHotCache)
     HotCache = Opts.SharedHotCache;
   else if (Opts.HotSourceCapacity > 0)
@@ -228,13 +202,7 @@ size_t BasicQueryEngine<StoreT>::hotStatesCached() const {
 template <class StoreT>
 int64_t BasicQueryEngine<StoreT>::batchWindowMicros() const {
   MutexLock Lock(Mu);
-  return BatchWindow_;
-}
-
-template <class StoreT>
-int64_t BasicQueryEngine<StoreT>::maxBatchWindowMicros() const {
-  MutexLock Lock(Mu);
-  return BatchWindowMax_;
+  return Policy.batchWindowMicros();
 }
 
 template <class StoreT> BasicQueryEngine<StoreT>::~BasicQueryEngine() {
@@ -261,97 +229,29 @@ uint64_t BasicQueryEngine<StoreT>::submit(Query Q) {
   // degrades to plain PPSP in runOneOn — same answers, no pruning.
   bool HeurOk = Q.Kind != QueryKind::AStar || Opts.NumLandmarks > 0 ||
                 HasCoordinates;
-  bool Valid =
+  const bool Valid =
       static_cast<Count>(Q.Source) < NumNodes && TargetOk && HeurOk;
-  const int Class = importanceClass(Q.Importance);
   const auto Now = std::chrono::steady_clock::now();
   uint64_t Ticket;
-  bool Enqueued = false;
-  bool Resolved = false; // a ticket (this one or a victim's) was finished
+  uint64_t Shed = 0;
   {
     MutexLock Lock(Mu);
     Ticket = NextTicket++;
     Outstanding.insert(Ticket);
-    if (!Valid) {
-      QueryResult R;
-      R.Status = QueryStatus::Failed;
-      R.Failed = true;
-      Finished.emplace(Ticket, std::move(R));
-      Resolved = true;
-    } else {
-      // Admission control: past the high-water mark, something must give —
-      // shed the lowest-importance pending query, or the incoming one when
-      // nothing queued is strictly less important (ties shed the incomer:
-      // queued work has already waited). Among equally-least-important
-      // *pending* queries the same rationale picks the newest — it has
-      // waited least — so the scan keeps updating on ties. Shedding is
-      // typed and immediate, never a silent drop — the victim's ticket
-      // resolves Shed right here. `runBatch` funnels through this exact
-      // path, so single submits and batches shed identically.
-      if (CurHighWater_ > 0 && Pending.size() >= CurHighWater_) {
-        auto Victim = Pending.end();
-        int MinImportance = Q.Importance;
-        for (auto It = Pending.begin(); It != Pending.end(); ++It)
-          if (It->Q.Importance < MinImportance ||
-              (Victim != Pending.end() &&
-               It->Q.Importance == MinImportance)) {
-            MinImportance = It->Q.Importance;
-            Victim = It;
-          }
-        QueryResult R;
-        R.Status = QueryStatus::Shed;
-        Resolved = true;
-        if (Victim == Pending.end()) {
-          ++Sheds_[Class];
-          Finished.emplace(Ticket, std::move(R));
-          Valid = false; // incoming query sheds; nothing to enqueue
-        } else {
-          ++Sheds_[Victim->Class];
-          Finished.emplace(Victim->Ticket, std::move(R));
-          Pending.erase(Victim);
-        }
-      }
-
-      if (Valid) {
-        Task T{Ticket, std::move(Q), Now, 0, false, Class};
-        T.DeadlineMicros = T.Q.DeadlineMicros;
-        // Graceful degradation: under moderate pressure, bound PPSP/A*
-        // queries that brought no deadline of their own. A class with a
-        // p99 target gets the target itself as its budget — the SLO is
-        // the class's latency contract, known a priori, so imposition
-        // does not wait for a warm EWMA (and must not hand a premium
-        // class the tiny EWMA-derived budget meant for bulk traffic).
-        // SLO-less classes fall back to a fraction of the recent service
-        // time *of their own (kind, class) cell* — a slow class must not
-        // shrink another class's budget. Bounded answers for everyone
-        // beat full answers for some and Shed for the rest.
-        if (CurSoftWater_ > 0 && Pending.size() >= CurSoftWater_ &&
-            T.Q.Kind != QueryKind::SSSP && T.DeadlineMicros <= 0) {
-          const int64_t Slo = Opts.ClassSlo[static_cast<size_t>(T.Class)];
-          if (Slo > 0) {
-            T.DeadlineMicros = std::max(Opts.DegradeFloorMicros, Slo);
-            T.Degraded = true;
-            ++Degraded_[T.Class];
-          } else {
-            const double Ewma =
-                EwmaMicros[static_cast<int>(T.Q.Kind)][T.Class];
-            if (Ewma > 0.0) {
-              T.DeadlineMicros = std::max(
-                  Opts.DegradeFloorMicros,
-                  static_cast<int64_t>(Ewma * Opts.DegradeFactor));
-              T.Degraded = true;
-              ++Degraded_[T.Class];
-            }
-          }
-        }
-        Pending.push_back(std::move(T));
-        Enqueued = true;
-      }
-    }
+    if (Valid)
+      Shed = Policy.admit(Ticket, std::move(Q), Now);
+    else
+      Finished[Ticket].Status = QueryStatus::Failed;
+    // Shedding is typed and immediate, never a silent drop: the victim's
+    // ticket (this one or a pending query's) resolves right here.
+    // `runBatch` funnels through this exact path, so single submits and
+    // batches shed identically.
+    if (Shed != 0)
+      Finished[Shed].Status = QueryStatus::Shed;
   }
-  if (Enqueued)
+  if (Valid && Shed != Ticket)
     WorkCv.notify_one();
-  if (Resolved)
+  if (!Valid || Shed != 0)
     DoneCv.notify_all();
   return Ticket;
 }
@@ -411,124 +311,31 @@ OrderedStats BasicQueryEngine<StoreT>::aggregateStats() const {
 }
 
 template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesServed() const {
+ServingPolicy::Counters BasicQueryEngine<StoreT>::policyCounters() const {
   MutexLock Lock(Mu);
-  return Served;
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesShed() const {
-  MutexLock Lock(Mu);
-  uint64_t Total = 0;
-  for (uint64_t C : Sheds_)
-    Total += C;
-  return Total;
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::deadlinesExceeded() const {
-  MutexLock Lock(Mu);
-  uint64_t Total = 0;
-  for (uint64_t C : DeadlineExceeded_)
-    Total += C;
-  return Total;
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesDegraded() const {
-  MutexLock Lock(Mu);
-  uint64_t Total = 0;
-  for (uint64_t C : Degraded_)
-    Total += C;
-  return Total;
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesServedInClass(int Class) const {
-  MutexLock Lock(Mu);
-  return ServedClass_[clampClass(Class)];
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesShedInClass(int Class) const {
-  MutexLock Lock(Mu);
-  return Sheds_[clampClass(Class)];
-}
-
-template <class StoreT>
-uint64_t
-BasicQueryEngine<StoreT>::deadlinesExceededInClass(int Class) const {
-  MutexLock Lock(Mu);
-  return DeadlineExceeded_[clampClass(Class)];
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::queriesDegradedInClass(int Class) const {
-  MutexLock Lock(Mu);
-  return Degraded_[clampClass(Class)];
-}
-
-template <class StoreT>
-double BasicQueryEngine<StoreT>::serviceEwmaMicros(QueryKind Kind,
-                                                   int Class) const {
-  MutexLock Lock(Mu);
-  return EwmaMicros[static_cast<int>(Kind)][clampClass(Class)];
+  return Policy.counters();
 }
 
 template <class StoreT>
 LatencyHistogram::Snapshot
 BasicQueryEngine<StoreT>::classLatencySnapshot(int Class) const {
   // Lock-free: the histograms are relaxed atomics, no Mu needed.
-  return ClassLatency_[clampClass(Class)].snapshot();
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::controllerTicks() const {
-  MutexLock Lock(Mu);
-  return CtlTicks_;
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::controllerTightens() const {
-  MutexLock Lock(Mu);
-  return CtlTightens_;
-}
-
-template <class StoreT>
-uint64_t BasicQueryEngine<StoreT>::controllerRelaxes() const {
-  MutexLock Lock(Mu);
-  return CtlRelaxes_;
-}
-
-template <class StoreT>
-int64_t BasicQueryEngine<StoreT>::currentBatchDelayMicros() const {
-  MutexLock Lock(Mu);
-  return CurBatchDelay_;
-}
-
-template <class StoreT>
-size_t BasicQueryEngine<StoreT>::currentHighWater() const {
-  MutexLock Lock(Mu);
-  return CurHighWater_;
-}
-
-template <class StoreT>
-size_t BasicQueryEngine<StoreT>::currentSoftWater() const {
-  MutexLock Lock(Mu);
-  return CurSoftWater_;
+  return ClassLatency[static_cast<size_t>(
+      std::clamp(Class, 0, kNumImportanceClasses - 1))]
+      .snapshot();
 }
 
 template <class StoreT>
 std::vector<ControllerEvent>
 BasicQueryEngine<StoreT>::controllerTrace() const {
   MutexLock Lock(Mu);
-  return std::vector<ControllerEvent>(CtlTrace_.begin(), CtlTrace_.end());
+  return Policy.controllerTrace();
 }
 
 template <class StoreT>
 size_t BasicQueryEngine<StoreT>::queueDepth() const {
   MutexLock Lock(Mu);
-  return Pending.size();
+  return Policy.queueDepth();
 }
 
 template <class StoreT>
@@ -539,20 +346,11 @@ void BasicQueryEngine<StoreT>::workerLoop() {
   omp_set_num_threads(std::max(1, Opts.OmpThreadsPerQuery));
   StatePool::Lease State = Pool.acquire();
 
-  // Smallest non-zero formation window: far below a query's service time,
-  // so the first adaptation step costs next to nothing.
-  constexpr int64_t kBatchWindowFloorMicros = 50;
-
   struct Done {
-    uint64_t Ticket;
-    QueryKind Kind;
-    bool Degraded;
-    int Class;
-    std::chrono::steady_clock::time_point Enqueued;
-    double Micros;
     QueryResult R;
+    double Micros;
   };
-  std::vector<Task> Batch;
+  std::vector<ServingPolicy::Task> Batch;
   std::vector<Done> Results;
 
   while (true) {
@@ -563,33 +361,23 @@ void BasicQueryEngine<StoreT>::workerLoop() {
       // Explicit wait loop (not the predicate overload): the guarded
       // fields are read in this function's scope, where the analysis can
       // see the lock held.
-      while (!ShuttingDown && Pending.empty())
+      while (!ShuttingDown && Policy.queueDepth() == 0)
         WorkCv.wait(Lock.native());
-      if (Pending.empty())
+      if (Policy.queueDepth() == 0)
         return; // shutting down, queue drained
-      Batch.push_back(std::move(Pending.front()));
-      Pending.pop_front();
-
-      // Adaptive batch formation: with a non-zero window (the engine saw
-      // backlog recently), greedily drain the queue up to MaxBatchSize,
-      // then hold the window open for stragglers. With the window at 0 —
-      // always, when MaxBatchDelayMicros is off — this worker takes
-      // exactly one task, the historical behavior, and sibling workers
-      // pick up the rest of the queue in parallel.
-      const size_t MaxBatch =
-          static_cast<size_t>(std::max(1, Opts.MaxBatchSize));
-      if (CurBatchDelay_ > 0 && BatchWindow_ > 0) {
-        while (Batch.size() < MaxBatch && !Pending.empty()) {
-          Batch.push_back(std::move(Pending.front()));
-          Pending.pop_front();
-        }
+      Batch.push_back(Policy.dequeue());
+      // With the policy's batch window open (the engine saw backlog
+      // recently), keep taking queued queries and hold the window open for
+      // stragglers. A closed window limits the batch to this one task, and
+      // sibling workers pick up the rest of the queue in parallel.
+      const size_t Limit = Policy.batchLimit();
+      if (Limit > 1) {
         const auto Until =
             std::chrono::steady_clock::now() +
-            std::chrono::microseconds(BatchWindow_);
-        while (Batch.size() < MaxBatch && !ShuttingDown) {
-          if (!Pending.empty()) {
-            Batch.push_back(std::move(Pending.front()));
-            Pending.pop_front();
+            std::chrono::microseconds(Policy.batchWindowMicros());
+        while (Batch.size() < Limit && !ShuttingDown) {
+          if (Policy.queueDepth() > 0) {
+            Batch.push_back(Policy.dequeue());
             continue;
           }
           if (WorkCv.wait_until(Lock.native(), Until) ==
@@ -597,27 +385,13 @@ void BasicQueryEngine<StoreT>::workerLoop() {
             break;
         }
       }
-      if (CurBatchDelay_ > 0) {
-        // Grow the window while backlog persists (each batch still left
-        // the queue non-empty); collapse it the moment the queue drains
-        // so idle-engine latency stays untouched. The cap is the
-        // *controlled* delay — under controller tightening the window
-        // shrinks with it.
-        if (!Pending.empty()) {
-          BatchWindow_ = std::min(
-              CurBatchDelay_,
-              std::max(int64_t{2} * BatchWindow_, kBatchWindowFloorMicros));
-          BatchWindowMax_ = std::max(BatchWindowMax_, BatchWindow_);
-        } else {
-          BatchWindow_ = 0;
-        }
-      }
+      Policy.batchFormed();
     }
 
     // Run every task in the batch outside the lock, then publish all the
     // results under one acquisition — amortizing the lock and the wakeup
     // is where batching pays.
-    for (Task &T : Batch) {
+    for (ServingPolicy::Task &T : Batch) {
       CancelToken Token;
       const CancelToken *Cancel = nullptr;
       if (T.DeadlineMicros > 0) {
@@ -641,181 +415,33 @@ void BasicQueryEngine<StoreT>::workerLoop() {
           std::chrono::duration<double, std::micro>(
               std::chrono::steady_clock::now() - Start)
               .count();
-      Results.push_back(Done{T.Ticket, T.Q.Kind, T.Degraded, T.Class,
-                             T.Enqueued, Micros, std::move(R)});
+      Results.push_back(Done{std::move(R), Micros});
     }
 
     // Per-class end-to-end latency (submit → publish, the quantity the
     // class SLOs target): recorded lock-free before taking Mu.
     const auto PubTime = std::chrono::steady_clock::now();
-    for (Done &D : Results)
-      if (D.R.Status == QueryStatus::Ok)
-        ClassLatency_[D.Class].record(static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                PubTime - D.Enqueued)
-                .count()));
+    for (size_t I = 0; I < Batch.size(); ++I)
+      if (Results[I].R.Status == QueryStatus::Ok)
+        ClassLatency[static_cast<size_t>(Batch[I].Class)].record(
+            static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    PubTime - Batch[I].Enqueued)
+                    .count()));
 
     {
       MutexLock Lock(Mu);
-      for (Done &D : Results) {
-        Aggregate.merge(D.R.Stats);
-        ++Served;
-        ++ServedClass_[D.Class];
-        if (D.R.Status == QueryStatus::DeadlineExceeded)
-          ++DeadlineExceeded_[D.Class];
-        // The admission EWMA samples only clean, un-degraded completions
-        // — cut-short runs would drag imposed deadlines toward zero —
-        // and only its own (kind, class) cell, so a slow class cannot
-        // poison another's imposed deadlines.
-        if (D.R.Status == QueryStatus::Ok && !D.Degraded) {
-          double &Ewma = EwmaMicros[static_cast<int>(D.Kind)][D.Class];
-          Ewma = Ewma == 0.0 ? D.Micros : 0.8 * Ewma + 0.2 * D.Micros;
-        }
-        Finished.emplace(D.Ticket, std::move(D.R));
+      for (size_t I = 0; I < Batch.size(); ++I) {
+        Aggregate.merge(Results[I].R.Stats);
+        Policy.completed(Batch[I], Results[I].R.Status, Results[I].Micros);
+        Finished.emplace(Batch[I].Ticket, std::move(Results[I].R));
       }
+      // The controller ticks here, at most once per interval: no thread
+      // of its own, so an idle engine ticks only when traffic resumes.
+      Policy.maybeTick(PubTime, ClassLatency);
     }
     DoneCv.notify_all();
-    maybeControllerTick();
   }
-}
-
-template <class StoreT>
-void BasicQueryEngine<StoreT>::maybeControllerTick() {
-  if (Opts.ControllerIntervalMicros <= 0)
-    return;
-  const auto Now = std::chrono::steady_clock::now();
-  MutexLock Lock(Mu);
-  if (Now < CtlNextTick_)
-    return;
-  // Exactly one publisher wins each interval: the deadline moved before
-  // any other worker re-checks it under Mu.
-  CtlNextTick_ =
-      Now + std::chrono::microseconds(Opts.ControllerIntervalMicros);
-  ++CtlTicks_;
-
-  // Windowed per-class p99 since the previous tick, via snapshot deltas —
-  // no reset of histograms that workers are concurrently recording into.
-  ControllerEvent E;
-  E.Tick = CtlTicks_;
-  bool AnyMiss = false;
-  bool SawEvidence = false; // ≥1 targeted class with a thick-enough window
-  bool AllSlack = true;     // every such class comfortably under target
-  for (int C = 0; C < kNumImportanceClasses; ++C) {
-    LatencyHistogram::Snapshot Cur = ClassLatency_[C].snapshot();
-    LatencyHistogram::Snapshot Win =
-        LatencyHistogram::windowSince(Cur, CtlPrev_[C]);
-    CtlPrev_[C] = Cur;
-    E.WindowCount[static_cast<size_t>(C)] = Win.count();
-    E.WindowP99Micros[static_cast<size_t>(C)] = Win.percentile(99);
-    const int64_t Slo = Opts.ClassSlo[static_cast<size_t>(C)];
-    if (Slo <= 0)
-      continue;
-    if (Win.count() < Opts.ControllerMinSamples)
-      continue; // thin window: evidence for neither a miss nor slack
-    SawEvidence = true;
-    const uint64_t P99 = E.WindowP99Micros[static_cast<size_t>(C)];
-    if (P99 > static_cast<uint64_t>(Slo))
-      AnyMiss = true;
-    else if (static_cast<double>(P99) >=
-             Opts.ControllerSlackFraction * static_cast<double>(Slo))
-      AllSlack = false; // dead band: under target but not slack
-  }
-
-  // AIMD with hysteresis and a dead band: a miss tightens additively at
-  // once; relaxing needs ControllerHysteresisTicks consecutive all-slack
-  // ticks and then doubles toward the configured ceilings; the dead band
-  // (and hitting a floor/ceiling) holds. Settling is structural — every
-  // trajectory ends pinned in the dead band or at a bound. Knobs whose
-  // configured value is 0 (feature off) are never touched.
-  int Action = 0;
-  if (AnyMiss) {
-    CtlSlackStreak_ = 0;
-    if (Opts.MaxBatchDelayMicros > 0) {
-      const int64_t Step =
-          std::max<int64_t>(Opts.MaxBatchDelayMicros / 8, 1);
-      const int64_t Floor = std::min(Opts.ControllerMinBatchDelayMicros,
-                                     Opts.MaxBatchDelayMicros);
-      const int64_t Next = std::max(Floor, CurBatchDelay_ - Step);
-      if (Next != CurBatchDelay_) {
-        CurBatchDelay_ = Next;
-        Action = -1;
-      }
-      // An already-grown formation window must shrink with its cap.
-      BatchWindow_ = std::min(BatchWindow_, CurBatchDelay_);
-    }
-    if (Opts.AdmissionHighWater > 0) {
-      const size_t Step = std::max<size_t>(Opts.AdmissionHighWater / 8, 1);
-      const size_t Floor =
-          std::min(Opts.ControllerMinHighWater, Opts.AdmissionHighWater);
-      const size_t Next =
-          CurHighWater_ > Floor + Step ? CurHighWater_ - Step : Floor;
-      if (Next != CurHighWater_) {
-        CurHighWater_ = Next;
-        Action = -1;
-      }
-    }
-    if (Opts.AdmissionSoftWater > 0) {
-      const size_t Step = std::max<size_t>(Opts.AdmissionSoftWater / 8, 1);
-      const size_t Floor =
-          std::min(Opts.ControllerMinSoftWater, Opts.AdmissionSoftWater);
-      const size_t Next =
-          CurSoftWater_ > Floor + Step ? CurSoftWater_ - Step : Floor;
-      if (Next != CurSoftWater_) {
-        CurSoftWater_ = Next;
-        Action = -1;
-      }
-    }
-    if (Action == -1)
-      ++CtlTightens_;
-  } else if (SawEvidence && AllSlack) {
-    if (++CtlSlackStreak_ >=
-        std::max(Opts.ControllerHysteresisTicks, 1)) {
-      CtlSlackStreak_ = 0;
-      if (Opts.MaxBatchDelayMicros > 0) {
-        const int64_t Seed =
-            std::max<int64_t>(Opts.MaxBatchDelayMicros / 8, 1);
-        const int64_t Next =
-            std::min(Opts.MaxBatchDelayMicros,
-                     std::max(CurBatchDelay_ * 2, Seed));
-        if (Next != CurBatchDelay_) {
-          CurBatchDelay_ = Next;
-          Action = 1;
-        }
-      }
-      if (Opts.AdmissionHighWater > 0) {
-        const size_t Next =
-            std::min(Opts.AdmissionHighWater,
-                     std::max<size_t>(CurHighWater_ * 2, 1));
-        if (Next != CurHighWater_) {
-          CurHighWater_ = Next;
-          Action = 1;
-        }
-      }
-      if (Opts.AdmissionSoftWater > 0) {
-        const size_t Next =
-            std::min(Opts.AdmissionSoftWater,
-                     std::max<size_t>(CurSoftWater_ * 2, 1));
-        if (Next != CurSoftWater_) {
-          CurSoftWater_ = Next;
-          Action = 1;
-        }
-      }
-      if (Action == 1)
-        ++CtlRelaxes_;
-    }
-  } else {
-    // Dead band or thin windows: hold, and require the slack run to be
-    // consecutive.
-    CtlSlackStreak_ = 0;
-  }
-
-  E.Action = Action;
-  E.BatchDelayMicros = CurBatchDelay_;
-  E.HighWater = CurHighWater_;
-  E.SoftWater = CurSoftWater_;
-  CtlTrace_.push_back(E);
-  if (CtlTrace_.size() > kControllerTraceCap)
-    CtlTrace_.pop_front();
 }
 
 namespace {

@@ -32,6 +32,14 @@
 /// results are bit-identical to sequential per-query runs (shortest-path
 /// distances are unique, and the early-exit predicates are exact).
 ///
+/// The engine is mechanism: worker threads, the queue mutex and its two
+/// condition variables, tickets, per-class latency histograms, and query
+/// execution. *Policy* — admission, soft-water degradation, the adaptive
+/// batch window, and the AIMD controller — is the non-template,
+/// single-threaded `ServingPolicy` (service/ServingPolicy.h), which owns
+/// the pending queue; the engine calls it under the queue mutex with
+/// `steady_clock::now()`.
+///
 /// The engine is a template over the *Store* concept (service/Store.h):
 /// `BasicQueryEngine<SnapshotStore>` (aliased `QueryEngine`) serves the
 /// single-writer store, `BasicQueryEngine<ShardedSnapshotStore>` (aliased
@@ -42,8 +50,9 @@
 /// The operator's guide to the serving tier — every Options knob, the
 /// deadline/settled-prefix contract, admission control, adaptive
 /// batching, and hot-state sharing — is docs/serving.md; the options
-/// tables there are kept in sync with this header by scripts/check_docs.py
-/// (the `docs_check` ctest entry).
+/// tables there are kept in sync with this header and
+/// service/ServingPolicy.h by scripts/check_docs.py (the `docs_check`
+/// ctest entry).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,6 +66,7 @@
 #include "graph/Graph.h"
 #include "service/HotStateCache.h"
 #include "service/LandmarkCache.h"
+#include "service/ServingPolicy.h"
 #include "service/SnapshotStore.h"
 #include "service/StatePool.h"
 #include "service/Store.h"
@@ -66,10 +76,8 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -82,95 +90,18 @@
 namespace graphit {
 namespace service {
 
-/// Which algorithm a query runs.
-enum class QueryKind { SSSP, PPSP, AStar };
-
-/// How a query's lifetime ended. Anything but `Ok` is a *typed, non-fatal*
-/// outcome — overload and expiry are expected operating conditions for a
-/// serving process, never reasons to crash or to block a caller forever.
-enum class QueryStatus : uint8_t {
-  Ok,               ///< ran to completion (possibly budget-bounded)
-  DeadlineExceeded, ///< interrupted at a round boundary; partial results
-  Shed,             ///< rejected by admission control without running
-  Failed,           ///< malformed request (out-of-range source/target)
-};
-
-/// Importance classes tracked for per-class SLOs, counters, and the
-/// degradation EWMA. Queries map to a class through importanceClass():
-/// class 0 is the *most* important tier (the ops "tier-0" convention),
-/// class kNumImportanceClasses-1 the least. `Query::Importance` keeps its
-/// historical meaning (higher = more important, sheds last).
-inline constexpr int kNumImportanceClasses = 4;
-
-/// Importance → class index. Importance saturates at
-/// kNumImportanceClasses-1, so every importance above that shares class 0
-/// and negatives clamp into the least-important class.
-inline int importanceClass(int Importance) {
-  if (Importance < 0)
-    Importance = 0;
-  if (Importance >= kNumImportanceClasses)
-    Importance = kNumImportanceClasses - 1;
-  return kNumImportanceClasses - 1 - Importance;
-}
-
-/// One feedback-controller tick, exported through controllerTrace() so
-/// benches and tests can print or assert on the trajectory: the windowed
-/// per-class p99s the tick observed, the knob values *after* its action,
-/// and the action itself.
-struct ControllerEvent {
-  uint64_t Tick = 0;            ///< 1-based tick ordinal
-  int Action = 0;               ///< -1 tightened, 0 held, +1 relaxed
-  int64_t BatchDelayMicros = 0; ///< knob values after the action
-  uint64_t HighWater = 0;
-  uint64_t SoftWater = 0;
-  /// Windowed p99 per class since the previous tick (0 = no samples).
-  std::array<uint64_t, kNumImportanceClasses> WindowP99Micros{};
-  /// Windowed Ok completions per class since the previous tick.
-  std::array<uint64_t, kNumImportanceClasses> WindowCount{};
-};
-
-/// One point(-to-point) query against the engine's graph snapshot.
-struct Query {
-  QueryKind Kind = QueryKind::PPSP;
-  VertexId Source = 0;
-  /// Required for PPSP/A*; ignored for SSSP.
-  VertexId Target = kInvalidVertex;
-  /// Per-query schedule override; the engine default applies when absent.
-  std::optional<Schedule> Sched;
-  /// SSSP only: return the (vertex, distance) pairs of every reached
-  /// vertex, sorted by vertex id (O(touched log touched) extra work).
-  bool CollectReached = false;
-  /// PPSP/A* with parent tracking enabled: return the shortest path.
-  bool CollectPath = false;
-  /// Wall-clock deadline in microseconds, measured from submit() (so time
-  /// spent queued counts). 0 = none. An expired query resolves with
-  /// `QueryStatus::DeadlineExceeded` and only *settled* partial results —
-  /// the engines check the clock once per bucket round, so enforcement
-  /// granularity is one round, not one edge relaxation.
-  int64_t DeadlineMicros = 0;
-  /// PPSP/A* only: stop once every distance below this bound is settled
-  /// (the target, if closer, is still reported exactly). A budget stop is
-  /// a normal `Ok` completion with `SettledBound` set.
-  Priority MaxDistance = kInfiniteDistance;
-  /// Admission priority under overload: past the high-water mark the
-  /// engine sheds the lowest-importance work first (ties shed the
-  /// incoming query). Irrelevant until `Options::AdmissionHighWater`.
-  int Importance = 0;
-};
-
 /// Result of one query.
 struct QueryResult {
   /// How the query ended; see QueryStatus. `DeadlineExceeded` still
-  /// carries valid partial results (everything below `SettledBound`).
+  /// carries valid partial results (everything below `SettledBound`);
+  /// `Failed` (out-of-range source/target) leaves every other field
+  /// default-valued — a malformed request must not take down a serving
+  /// process.
   QueryStatus Status = QueryStatus::Ok;
-  /// True when the query was rejected without running (out-of-range
-  /// source/target); every other field is then default-valued. A malformed
-  /// request must not take down a serving process. (Mirrors
-  /// `Status == QueryStatus::Failed`; kept for existing callers.)
-  bool Failed = false;
-  /// True when admission control degraded this query (imposed a deadline
-  /// derived from recent service times) because the engine was past the
-  /// soft-water mark. The result may still be complete (`Ok`).
+  /// True when admission control degraded this query (imposed its class
+  /// SLO or a deadline derived from recent service times) because the
+  /// engine was past the soft-water mark. The result may still be
+  /// complete (`Ok`).
   bool Degraded = false;
   /// When the run was interrupted (deadline) or budget-bounded
   /// (MaxDistance): every true distance strictly below this bound is
@@ -208,7 +139,10 @@ class BasicQueryEngine {
                 "concept (see service/Store.h)");
 
 public:
-  struct Options {
+  /// The five serving-policy settings (`MaxBatchDelayMicros`,
+  /// `AdmissionHighWater`, `AdmissionSoftWater`, `ClassSlo`,
+  /// `ControllerIntervalMicros`) are inherited from ServingPolicy::Config.
+  struct Options : ServingPolicy::Config {
     Options() {} // usable as a `{}` default argument under GCC 12
     /// Worker threads; 0 = hardware concurrency.
     int NumWorkers = 0;
@@ -229,8 +163,6 @@ public:
     /// the engine translates at its boundary. Live mode inherits the
     /// layout (and mapping) of the SnapshotStore instead.
     ReorderKind Reorder = ReorderKind::None;
-    /// Root hint for the Bfs ordering, in original ids (see makeOrdering).
-    VertexId ReorderSourceHint = 0;
     /// Live mode: keep up to this many *hot source states* — complete
     /// SSSP solutions keyed by (source, version) in an LRU — and, on
     /// `applyUpdates`, repair them via incremental SSSP (O(affected))
@@ -254,72 +186,6 @@ public:
     /// tracks store versions one publish at a time, exactly like the
     /// private cache). Overrides `HotSourceCapacity` when set.
     std::shared_ptr<HotStateCache> SharedHotCache;
-    /// Adaptive batch formation (0 disables, the default): when the
-    /// pending queue stays non-empty, each worker's batch-formation
-    /// window doubles (from a ~50µs floor) up to this many microseconds,
-    /// letting it drain several queued queries and publish their results
-    /// under one lock acquisition; the moment a worker sees the queue
-    /// drained the window collapses back to zero, so an idle engine adds
-    /// no latency. Bounds the extra p99 a queued query can pay to one
-    /// window. See batchWindowMicros()/maxBatchWindowMicros().
-    int64_t MaxBatchDelayMicros = 0;
-    /// Largest number of queries one worker runs per formed batch.
-    int MaxBatchSize = 16;
-    /// Admission control: when the pending queue holds at least this many
-    /// queries, submitting one more sheds the lowest-importance pending
-    /// query (or the incoming one, on ties) as `QueryStatus::Shed` —
-    /// typed, immediate, never silent. 0 disables shedding (unbounded
-    /// queue, the historical behavior).
-    size_t AdmissionHighWater = 0;
-    /// Graceful degradation: when the pending queue holds at least this
-    /// many queries, PPSP/A* queries *without their own deadline* get one
-    /// imposed — `DegradeFactor` × the EWMA of recent same-kind service
-    /// times, floored at `DegradeFloorMicros` — and their results are
-    /// marked `Degraded`. Bounded work under pressure beats shedding;
-    /// SSSP is exempt (its full solution is what warms the hot cache).
-    /// 0 disables degradation.
-    size_t AdmissionSoftWater = 0;
-    /// Fraction of the recent same-kind service time a degraded query is
-    /// allowed (see AdmissionSoftWater).
-    double DegradeFactor = 0.5;
-    /// Lower bound for an imposed degraded deadline, so cold EWMAs never
-    /// degrade queries into zero-work rejections.
-    int64_t DegradeFloorMicros = 500;
-    /// Per-class p99 latency targets in microseconds, indexed by
-    /// importance class (importanceClass(); class 0 = most important).
-    /// 0 = no target for that class. A target does two things: soft-water
-    /// degradation clamps the imposed deadline to the class target (never
-    /// below DegradeFloorMicros), and the feedback controller treats a
-    /// targeted class's windowed p99 above its target as an SLO miss.
-    std::array<int64_t, kNumImportanceClasses> ClassSlo = {};
-    /// Feedback-controller cadence in microseconds; 0 disables the
-    /// controller (knobs stay at their configured values). Worker-driven:
-    /// ticks piggyback on result publication — no extra thread — so a
-    /// fully idle engine ticks only when traffic resumes. Each tick reads
-    /// per-class windowed p99s (LatencyHistogram snapshot deltas) and
-    /// moves MaxBatchDelayMicros and the admission watermarks AIMD-style:
-    /// additive tighten while any targeted class misses its SLO,
-    /// multiplicative relax toward the configured values when every
-    /// targeted class has slack.
-    int64_t ControllerIntervalMicros = 0;
-    /// Windowed observations a class needs before its p99 counts as
-    /// evidence (for a miss or for slack); thinner windows hold.
-    uint64_t ControllerMinSamples = 16;
-    /// A targeted class has *slack* when its windowed p99 is below this
-    /// fraction of its SLO. Between slack and the SLO is the dead band —
-    /// no action — which is what makes the controller settle instead of
-    /// oscillating around the target.
-    double ControllerSlackFraction = 0.7;
-    /// Consecutive all-slack ticks required before each relax step.
-    int ControllerHysteresisTicks = 2;
-    /// Floor the controller may tighten MaxBatchDelayMicros down to; the
-    /// configured value is the matching ceiling. A knob configured 0
-    /// (feature disabled) is never controller-enabled.
-    int64_t ControllerMinBatchDelayMicros = 0;
-    /// Floor for AdmissionHighWater under controller tightening.
-    size_t ControllerMinHighWater = 16;
-    /// Floor for AdmissionSoftWater under controller tightening.
-    size_t ControllerMinSoftWater = 8;
   };
 
   BasicQueryEngine(const Graph &G, Options Opts = {});
@@ -347,7 +213,9 @@ public:
 
   /// Enqueues \p Q; returns a ticket for collect(). Thread-safe. A query
   /// with an out-of-range source/target is not enqueued: its ticket
-  /// resolves immediately to a result with `Failed == true`.
+  /// resolves immediately to a `QueryStatus::Failed` result. A valid one
+  /// goes through ServingPolicy::admit, which may shed it or a pending
+  /// query (`QueryStatus::Shed`, resolved right away).
   uint64_t submit(Query Q);
 
   /// Blocks until the query behind \p Ticket finishes and returns its
@@ -424,9 +292,6 @@ public:
   /// Current adaptive batch-formation window (µs); 0 whenever the queue
   /// was last seen drained (see Options::MaxBatchDelayMicros).
   int64_t batchWindowMicros() const;
-  /// High-water mark of the window over the engine's lifetime — shows
-  /// whether batching ever engaged, without racing its collapse.
-  int64_t maxBatchWindowMicros() const;
 
   /// The ALT cache (null when Options::NumLandmarks == 0), built at
   /// construction and kept for the engine's lifetime — retirement stops
@@ -446,48 +311,23 @@ public:
 
   /// Aggregate engine counters over all completed queries.
   OrderedStats aggregateStats() const;
-  /// Queries completed so far.
-  uint64_t queriesServed() const;
-  /// Queries rejected by admission control (Status == Shed).
-  uint64_t queriesShed() const;
-  /// Queries that resolved DeadlineExceeded (expired queued or mid-run).
-  uint64_t deadlinesExceeded() const;
-  /// Queries admission control degraded (imposed deadline); counted
-  /// whether or not the imposed deadline ended up firing.
-  uint64_t queriesDegraded() const;
 
-  /// Per-importance-class views of the counters above (Class =
-  /// importanceClass(Importance); out-of-range clamps). The class-less
-  /// getters are the sums of these.
-  uint64_t queriesServedInClass(int Class) const;
-  uint64_t queriesShedInClass(int Class) const;
-  uint64_t deadlinesExceededInClass(int Class) const;
-  uint64_t queriesDegradedInClass(int Class) const;
-
-  /// The degradation EWMA for one (kind, class) cell, in microseconds
-  /// (0 until the first un-degraded Ok completion of that cell). Split by
-  /// class so a flood of slow traffic in one class cannot poison the
-  /// imposed deadlines of another — the class-isolation regression test
-  /// reads this directly.
-  double serviceEwmaMicros(QueryKind Kind, int Class) const;
+  /// A copy of the serving policy's counters: per-class served, shed,
+  /// deadline-exceeded and degraded counts, the (kind, class) degradation
+  /// EWMAs, controller activity, the knob values in force (the configured
+  /// Options until the controller moves them), and the widest batch
+  /// window so far.
+  ServingPolicy::Counters policyCounters() const;
 
   /// Point-in-time copy of one class's end-to-end latency histogram
   /// (Ok completions, submit → publish, microseconds). What the
-  /// controller windows; exported for benches and tests.
+  /// controller windows; exported for benches and tests. Out-of-range
+  /// classes clamp.
   LatencyHistogram::Snapshot classLatencySnapshot(int Class) const;
 
-  /// Feedback-controller observability (all 0 / empty / the configured
-  /// knob values while the controller is disabled).
-  uint64_t controllerTicks() const;
-  uint64_t controllerTightens() const;
-  uint64_t controllerRelaxes() const;
-  /// The knob values currently in force (equal to the configured
-  /// Options while the controller is off or has never acted).
-  int64_t currentBatchDelayMicros() const;
-  size_t currentHighWater() const;
-  size_t currentSoftWater() const;
   /// The most recent controller ticks, oldest first (bounded history —
-  /// see kControllerTraceCap in QueryEngine.cpp).
+  /// see ServingPolicy::kControllerTraceCap); empty while the controller
+  /// is disabled.
   std::vector<ControllerEvent> controllerTrace() const;
 
   /// Pending (not yet running) queries right now.
@@ -496,26 +336,8 @@ public:
   int numWorkers() const { return static_cast<int>(Workers.size()); }
 
 private:
-  struct Task {
-    uint64_t Ticket;
-    Query Q;
-    /// submit() time; deadlines are measured from here so queueing delay
-    /// counts against the budget.
-    std::chrono::steady_clock::time_point Enqueued;
-    /// Effective deadline (the query's own, or one imposed by soft-water
-    /// degradation); 0 = none.
-    int64_t DeadlineMicros = 0;
-    bool Degraded = false;
-    /// importanceClass(Q.Importance), computed once at submit.
-    int Class = 0;
-  };
-
   void startWorkers();
   void workerLoop();
-  /// Worker-driven feedback controller: runs at most one tick per
-  /// Options::ControllerIntervalMicros, called from result publication.
-  /// No-op while the controller is disabled.
-  void maybeControllerTick();
   QueryResult runOne(const Query &Q, DistanceState &State,
                      const CancelToken *Cancel) const;
   template <typename GraphT>
@@ -584,61 +406,20 @@ private:
   mutable Mutex Mu;
   std::condition_variable WorkCv;
   std::condition_variable DoneCv;
-  std::deque<Task> Pending GUARDED_BY(Mu);
+  /// Admission, degradation, the batch window and the controller, with
+  /// the pending queue they decide over.
+  ServingPolicy Policy GUARDED_BY(Mu);
   std::unordered_map<uint64_t, QueryResult> Finished GUARDED_BY(Mu);
   /// Issued, not yet collected.
   std::unordered_set<uint64_t> Outstanding GUARDED_BY(Mu);
   uint64_t NextTicket GUARDED_BY(Mu) = 1;
-  uint64_t Served GUARDED_BY(Mu) = 0;
   OrderedStats Aggregate GUARDED_BY(Mu);
   bool ShuttingDown GUARDED_BY(Mu) = false;
-
-  /// Adaptive batch formation (Options::MaxBatchDelayMicros): the
-  /// current per-engine formation window in microseconds. Doubles (from
-  /// a ~50µs floor) whenever a worker finishes forming a batch and the
-  /// queue is still non-empty; collapses to 0 the moment a worker drains
-  /// it, so batching only ever delays queries that would have queued
-  /// anyway. BatchWindowMax_ is the lifetime high-water mark (tests
-  /// observe it without racing the collapse).
-  int64_t BatchWindow_ GUARDED_BY(Mu) = 0;
-  int64_t BatchWindowMax_ GUARDED_BY(Mu) = 0;
-
-  /// Overload-behavior counters, split by importance class (the
-  /// aggregate getters sum them), and the (kind × class) EWMA of service
-  /// times (microseconds; 0 until the first completed query of that
-  /// cell). The EWMA only samples un-degraded Ok completions so imposed
-  /// deadlines can't feed back into ever-shrinking budgets — and it is
-  /// split by class so one slow class can't poison another's imposed
-  /// deadlines.
-  uint64_t Sheds_[kNumImportanceClasses] GUARDED_BY(Mu) = {};
-  uint64_t DeadlineExceeded_[kNumImportanceClasses] GUARDED_BY(Mu) = {};
-  uint64_t Degraded_[kNumImportanceClasses] GUARDED_BY(Mu) = {};
-  uint64_t ServedClass_[kNumImportanceClasses] GUARDED_BY(Mu) = {};
-  /// Indexed [QueryKind][importance class].
-  double EwmaMicros[3][kNumImportanceClasses] GUARDED_BY(Mu) = {};
 
   /// Per-class end-to-end latency (Ok completions, submit → publish).
   /// Lock-free histograms: workers record outside Mu; the controller and
   /// the public snapshot getter read via relaxed snapshots.
-  LatencyHistogram ClassLatency_[kNumImportanceClasses];
-
-  /// Feedback-controller state (Options::ControllerIntervalMicros). The
-  /// Cur* knobs are the values actually enforced by submit() and the
-  /// batch-formation loop; they start at the configured Options values
-  /// and stay there while the controller is off.
-  int64_t CurBatchDelay_ GUARDED_BY(Mu) = 0;
-  size_t CurHighWater_ GUARDED_BY(Mu) = 0;
-  size_t CurSoftWater_ GUARDED_BY(Mu) = 0;
-  std::chrono::steady_clock::time_point CtlNextTick_ GUARDED_BY(Mu);
-  /// Previous tick's per-class snapshots; windowSince() against these
-  /// yields the per-interval view without resetting live histograms.
-  LatencyHistogram::Snapshot CtlPrev_[kNumImportanceClasses]
-      GUARDED_BY(Mu);
-  int CtlSlackStreak_ GUARDED_BY(Mu) = 0;
-  uint64_t CtlTicks_ GUARDED_BY(Mu) = 0;
-  uint64_t CtlTightens_ GUARDED_BY(Mu) = 0;
-  uint64_t CtlRelaxes_ GUARDED_BY(Mu) = 0;
-  std::deque<ControllerEvent> CtlTrace_ GUARDED_BY(Mu);
+  std::array<LatencyHistogram, kNumImportanceClasses> ClassLatency;
 
   std::vector<std::thread> Workers;
 };

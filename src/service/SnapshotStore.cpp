@@ -36,8 +36,7 @@ std::string describeRejected(const EdgeUpdate &U, size_t Index) {
 SnapshotStore::SnapshotStore(Graph Base, Options O) : Opts(O) {
   // Reorder-on-load before the base CSR is frozen (no-op move for None).
   Writer = DeltaGraph(std::make_shared<const Graph>(
-      reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map,
-                         /*Seed=*/0x0EDE5, Opts.ReorderSourceHint)));
+      reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map)));
   Current = std::make_shared<const DeltaGraph>(Writer);
 }
 
@@ -411,8 +410,7 @@ ShardedSnapshotStore::ShardedSnapshotStore(Graph Base, Options O)
     : Opts(O) {
   this->Opts.NumShards = std::max(1, Opts.NumShards);
   auto BasePtr = std::make_shared<const Graph>(
-      reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map,
-                         /*Seed=*/0x0EDE5, Opts.ReorderSourceHint));
+      reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map));
   Shift =
       ShardedDeltaView::shiftFor(BasePtr->numNodes(), this->Opts.NumShards);
   Symmetric = BasePtr->isSymmetric();

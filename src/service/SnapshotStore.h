@@ -96,9 +96,6 @@ public:
     /// keep speaking original ids: update batches are translated on the
     /// way in (`mapping()` translates results on the way out).
     ReorderKind Reorder = ReorderKind::None;
-    /// Root hint for the Bfs ordering (see makeOrdering) in *original* id
-    /// space — align with the dominant query source when known.
-    VertexId ReorderSourceHint = 0;
     /// All-or-nothing batches: reject a batch containing any malformed
     /// update with a typed error (`ApplyStatus::RejectedBatch`) instead
     /// of skipping the bad records and applying the rest.
@@ -326,7 +323,6 @@ public:
     Count MinOverlayEdges = 1 << 12;
     /// Cache-conscious layout, as in SnapshotStore::Options.
     ReorderKind Reorder = ReorderKind::None;
-    VertexId ReorderSourceHint = 0;
     /// All-or-nothing batches, as in SnapshotStore::Options (semantics
     /// are bit-compatible: same batches rejected, same versions
     /// published).

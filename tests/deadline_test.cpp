@@ -38,6 +38,7 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -359,70 +360,11 @@ TEST(Deadline, TryCollectIsNonFatalAndCompatibleWithCollect) {
   std::optional<QueryResult> RBad = Engine.tryCollect(Engine.submit(Bad));
   ASSERT_TRUE(RBad.has_value());
   EXPECT_EQ(RBad->Status, QueryStatus::Failed);
-  EXPECT_TRUE(RBad->Failed);
 }
 
 //===----------------------------------------------------------------------===//
 // Admission control: shedding and graceful degradation.
 //===----------------------------------------------------------------------===//
-
-TEST(Deadline, AdmissionShedsLowestImportanceFirst) {
-  Graph G = makeRoad(64, 43);
-  QueryEngine::Options Opts;
-  Opts.NumWorkers = 1;
-  Opts.DefaultSchedule.configApplyPriorityUpdateDelta(1024);
-  Opts.AdmissionHighWater = 3;
-  QueryEngine Engine(G, Opts);
-
-  // Occupy the only worker with a long run (tiny Delta = thousands of
-  // rounds), then flood the queue past the high-water mark.
-  Query Slow;
-  Slow.Kind = QueryKind::SSSP;
-  Slow.Source = 0;
-  Slow.Sched = eager(1);
-  Slow.Importance = 10; // never a shed victim, even while still queued
-  // Release this thread's idle OpenMP pool first: its spinning threads
-  // would otherwise hold the cores while the worker runs the slow query,
-  // and the submits below would land only after it finished.
-  omp_pause_resource_all(omp_pause_soft);
-  uint64_t SlowTicket = Engine.submit(Slow);
-
-  std::vector<uint64_t> LowTickets;
-  for (int I = 0; I < 12; ++I) {
-    Query Q;
-    Q.Kind = QueryKind::PPSP;
-    Q.Source = 0;
-    Q.Target = 1;
-    Q.Importance = 0;
-    LowTickets.push_back(Engine.submit(Q));
-  }
-  // A high-importance query arriving at a full queue must displace a
-  // low-importance one, never be shed itself.
-  Query Vip;
-  Vip.Kind = QueryKind::PPSP;
-  Vip.Source = 0;
-  Vip.Target = 2;
-  Vip.Importance = 5;
-  uint64_t VipTicket = Engine.submit(Vip);
-
-  QueryResult VipR = Engine.collect(VipTicket);
-  EXPECT_NE(VipR.Status, QueryStatus::Shed);
-
-  int Shed = 0, Ok = 0;
-  for (uint64_t T : LowTickets) {
-    QueryResult R = Engine.collect(T);
-    (R.Status == QueryStatus::Shed ? Shed : Ok)++;
-  }
-  QueryResult SlowR = Engine.collect(SlowTicket);
-  EXPECT_EQ(SlowR.Status, QueryStatus::Ok);
-
-  // With a 12-deep flood against high-water 3 and a busy worker, most of
-  // the flood must have been shed (typed, collectible — never dropped).
-  EXPECT_GT(Shed, 0);
-  EXPECT_EQ(static_cast<uint64_t>(Shed),
-            Engine.queriesShed() -
-                (VipR.Status == QueryStatus::Shed ? 1 : 0));
-}
 
 TEST(Deadline, SoftWaterDegradesPointQueriesInsteadOfShedding) {
   Graph G = makeRoad(48, 47);
@@ -440,7 +382,7 @@ TEST(Deadline, SoftWaterDegradesPointQueriesInsteadOfShedding) {
     W.Target = static_cast<VertexId>(G.numNodes() - 1);
     ASSERT_EQ(Engine.runBatch({W})[0].Status, QueryStatus::Ok);
   }
-  ASSERT_EQ(Engine.queriesDegraded(), 0u);
+  ASSERT_EQ(Engine.policyCounters().degraded(), 0u);
 
   // Occupy the worker, then queue point queries past the soft-water
   // mark: they acquire imposed deadlines and the Degraded mark.
@@ -448,7 +390,9 @@ TEST(Deadline, SoftWaterDegradesPointQueriesInsteadOfShedding) {
   Slow.Kind = QueryKind::SSSP;
   Slow.Source = 0;
   Slow.Sched = eager(1);
-  // Free the cores first, as AdmissionShedsLowestImportanceFirst does.
+  // Release this thread's idle OpenMP pool first: its spinning threads
+  // would otherwise hold the cores while the worker runs the slow query,
+  // and the submits below would land only after it finished.
   omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   std::vector<uint64_t> Tickets;
@@ -471,15 +415,17 @@ TEST(Deadline, SoftWaterDegradesPointQueriesInsteadOfShedding) {
   }
   Engine.collect(SlowTicket);
   EXPECT_GT(DegradedSeen, 0);
-  EXPECT_EQ(static_cast<uint64_t>(DegradedSeen), Engine.queriesDegraded());
+  EXPECT_EQ(static_cast<uint64_t>(DegradedSeen),
+            Engine.policyCounters().degraded());
 }
 
 TEST(Deadline, AdmissionShedTieBreakIsDeterministic) {
-  // The tie rule, both halves: an incomer tied with the least-important
-  // pending query sheds *itself* (queued work has waited longer), and a
-  // strictly more important incomer displaces the *newest* of the
-  // equally-least-important pending queries (it has waited least). Both
-  // single submits and runBatch funnel through the same admission path.
+  // The tie rule through the engine, both halves: an incomer tied with the
+  // least-important pending query sheds *itself* (queued work has waited
+  // longer), and a strictly more important incomer displaces the *newest*
+  // of the equally-least-important pending queries (it has waited least).
+  // Shed results come back typed and counted per class. The rule itself
+  // is ServingPolicy.Admission* in serving_policy_test.cpp.
   Graph G = makeRoad(64, 53);
   QueryEngine::Options Opts;
   Opts.NumWorkers = 1;
@@ -492,7 +438,8 @@ TEST(Deadline, AdmissionShedTieBreakIsDeterministic) {
   Slow.Source = 0;
   Slow.Sched = eager(1);
   Slow.Importance = 10;
-  // Free the cores first, as AdmissionShedsLowestImportanceFirst does.
+  // Free the cores first, as SoftWaterDegradesPointQueriesInsteadOfShedding
+  // does.
   omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   // Wait until the only worker has dequeued the slow run, so the three
@@ -527,14 +474,15 @@ TEST(Deadline, AdmissionShedTieBreakIsDeterministic) {
 
   // Both sheds were importance-1 queries → class 2; per-class counters
   // must agree.
-  EXPECT_EQ(Engine.queriesShed(), 2u);
-  EXPECT_EQ(Engine.queriesShedInClass(importanceClass(1)), 2u);
-  EXPECT_EQ(Engine.queriesShedInClass(0), 0u);
+  const ServingPolicy::Counters Ctr = Engine.policyCounters();
+  EXPECT_EQ(Ctr.shed(), 2u);
+  EXPECT_EQ(Ctr.ShedInClass[static_cast<size_t>(importanceClass(1))], 2u);
+  EXPECT_EQ(Ctr.ShedInClass[0], 0u);
 }
 
 //===----------------------------------------------------------------------===//
 // Feedback controller: the deadline/bit-identity contracts hold while the
-// controller is actively moving MaxBatchDelayMicros and the watermarks.
+// controller is actively moving MaxBatchDelayMicros and the soft water.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -546,19 +494,17 @@ void runControllerOnDifferential(StoreT &Store, const char *What) {
   Opts.NumWorkers = 4;
   Opts.DefaultSchedule.configApplyPriorityUpdateDelta(8);
   Opts.MaxBatchDelayMicros = 2000;
-  Opts.MaxBatchSize = 8;
-  Opts.AdmissionSoftWater = 16;
+  // Above ServingPolicy::kControllerMinSoftWater (16), so the controller
+  // has room to move it (24 → 21 → 18 → 16), and low enough that a
+  // 28-query round still reaches it.
+  Opts.AdmissionSoftWater = 24;
   // No high water: every submitted query must resolve Ok or
   // DeadlineExceeded, so each result is checkable against the reference.
   Opts.AdmissionHighWater = 0;
   // An unmeetable class-0 target keeps the controller tightening for the
   // whole test — knobs are in motion while the contracts are checked.
   Opts.ClassSlo[0] = 1;
-  Opts.ControllerIntervalMicros = 500;
-  Opts.ControllerMinSamples = 1;
-  Opts.ControllerHysteresisTicks = 1;
-  Opts.ControllerMinBatchDelayMicros = 0;
-  Opts.ControllerMinSoftWater = 4;
+  Opts.ControllerIntervalMicros = 4000;
   Engine E(Store, Opts);
 
   const Schedule S = eager(8);
@@ -566,7 +512,14 @@ void runControllerOnDifferential(StoreT &Store, const char *What) {
 
   SplitMix64 Rng(0xC7A1);
   int SawDeadline = 0;
-  for (int Round = 0; Round < 6; ++Round) {
+  // The controller acts only on windows holding at least
+  // ServingPolicy::kControllerMinSamples class-0 completions, and how many
+  // land in one 4 ms interval depends on the machine: keep submitting
+  // rounds past the sixth until one has (bounded).
+  for (int Round = 0;
+       Round < 6 ||
+       (E.policyCounters().ControllerTightens == 0 && Round < 60);
+       ++Round) {
     std::vector<Query> Batch;
     // Class-0 point queries (the SLO-missing traffic that drives the
     // controller) — every Ok answer must be bit-identical to the
@@ -618,17 +571,21 @@ void runControllerOnDifferential(StoreT &Store, const char *What) {
   }
 
   // The controller genuinely ran and moved knobs...
-  EXPECT_GT(E.controllerTicks(), 0u) << What;
-  EXPECT_GT(E.controllerTightens(), 0u) << What;
-  // ...and every recorded knob value stayed inside its configured bounds.
+  const ServingPolicy::Counters Ctr = E.policyCounters();
+  EXPECT_GT(Ctr.ControllerTicks, 0u) << What;
+  EXPECT_GT(Ctr.ControllerTightens, 0u) << What;
+  // ...every recorded knob value stayed inside its configured bounds...
+  bool SoftWaterMoved = false;
   for (const ControllerEvent &Ev : E.controllerTrace()) {
-    EXPECT_GE(Ev.BatchDelayMicros, Opts.ControllerMinBatchDelayMicros)
-        << What;
+    EXPECT_GE(Ev.BatchDelayMicros, 0) << What;
     EXPECT_LE(Ev.BatchDelayMicros, Opts.MaxBatchDelayMicros) << What;
-    EXPECT_GE(Ev.SoftWater, Opts.ControllerMinSoftWater) << What;
+    EXPECT_GE(Ev.SoftWater, ServingPolicy::kControllerMinSoftWater) << What;
     EXPECT_LE(Ev.SoftWater, Opts.AdmissionSoftWater) << What;
     EXPECT_EQ(Ev.HighWater, 0u) << What; // disabled knob never enabled
+    SoftWaterMoved |= Ev.SoftWater < Opts.AdmissionSoftWater;
   }
+  // ...and the soft water was among the knobs in motion.
+  EXPECT_TRUE(SoftWaterMoved) << What;
   EXPECT_GT(SawDeadline, 0) << What << ": no deadline ever fired";
 }
 

@@ -168,7 +168,8 @@ TEST(LiveStress, HotStateRepairMatchesRecomputeServing) {
     std::vector<QueryResult> Hot = HotEngine.runBatch(Batch);
     std::vector<QueryResult> Want = ColdEngine.runBatch(Batch);
     for (size_t I = 0; I < Batch.size(); ++I) {
-      ASSERT_FALSE(Hot[I].Failed) << "round " << Round << " query " << I;
+      ASSERT_NE(Hot[I].Status, QueryStatus::Failed)
+          << "round " << Round << " query " << I;
       ASSERT_EQ(Hot[I].Dist, Want[I].Dist)
           << "round " << Round << " query " << I << " (seed 0x" << std::hex
           << C.Seed << ")";
@@ -559,6 +560,7 @@ TEST(LiveStressFaults, EverySubmitResolvesUnderFaultsAndDeadlines) {
               static_cast<unsigned long long>(Outcomes[1]),
               static_cast<unsigned long long>(Outcomes[2]),
               static_cast<unsigned long long>(Outcomes[3]),
-              static_cast<unsigned long long>(Engine.queriesShed()),
-              static_cast<unsigned long long>(Engine.queriesDegraded()));
+              static_cast<unsigned long long>(Engine.policyCounters().shed()),
+              static_cast<unsigned long long>(
+                  Engine.policyCounters().degraded()));
 }

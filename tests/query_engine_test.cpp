@@ -258,7 +258,8 @@ TEST(QueryEngine, MixedBatchIsBitIdenticalToSequentialRuns) {
 
   std::vector<QueryResult> Results = Engine.runBatch(Batch);
   ASSERT_EQ(Results.size(), Batch.size());
-  EXPECT_EQ(Engine.queriesServed(), static_cast<uint64_t>(kNumQueries));
+  EXPECT_EQ(Engine.policyCounters().served(),
+            static_cast<uint64_t>(kNumQueries));
 
   for (int I = 0; I < kNumQueries; ++I) {
     const Query &Q = Batch[I];
@@ -386,7 +387,7 @@ TEST(QueryEngine, MalformedQueryFailsWithoutCrashing) {
   Bad.Target = static_cast<VertexId>(G.numNodes() + 5); // out of range
   uint64_t T = Engine.submit(Bad);
   QueryResult R = Engine.collect(T);
-  EXPECT_TRUE(R.Failed);
+  EXPECT_EQ(R.Status, QueryStatus::Failed);
   EXPECT_EQ(R.Dist, kInfiniteDistance);
 
   // The engine keeps serving after a rejected request.
@@ -407,7 +408,7 @@ TEST(QueryEngine, MalformedQueryFailsWithoutCrashing) {
   NoHeur.Kind = QueryKind::AStar;
   NoHeur.Source = 0;
   NoHeur.Target = 2;
-  EXPECT_TRUE(PlainEngine.runBatch({NoHeur})[0].Failed);
+  EXPECT_EQ(PlainEngine.runBatch({NoHeur})[0].Status, QueryStatus::Failed);
 }
 
 TEST(QueryEngine, AggregateStatsAccumulate) {
@@ -422,13 +423,22 @@ TEST(QueryEngine, AggregateStatsAccumulate) {
     Q.Kind = QueryKind::PPSP;
     Q.Source = static_cast<VertexId>(I * 13 % G.numNodes());
     Q.Target = static_cast<VertexId>((I * 29 + 7) % G.numNodes());
+    Q.Importance = I % 2 == 0 ? 0 : 3;
     Batch.push_back(Q);
   }
   Engine.runBatch(Batch);
   OrderedStats Agg = Engine.aggregateStats();
   EXPECT_GT(Agg.Rounds, 0);
   EXPECT_GT(Agg.VerticesProcessed, 0);
-  EXPECT_EQ(Engine.queriesServed(), 8u);
+  const ServingPolicy::Counters C = Engine.policyCounters();
+  EXPECT_EQ(C.served(), 8u);
+  // Every completion is counted in its importance class, and every Ok one
+  // (all of them here) lands in that class's latency histogram.
+  for (int Importance : {0, 3}) {
+    const int Class = importanceClass(Importance);
+    EXPECT_EQ(C.ServedInClass[static_cast<size_t>(Class)], 4u) << Class;
+    EXPECT_EQ(Engine.classLatencySnapshot(Class).count(), 4u) << Class;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -752,7 +762,6 @@ TEST(QueryEngineBatching, BatchedResultsBitIdenticalToUnbatched) {
   Plain.DefaultSchedule.Delta = 2048;
   QueryEngine::Options Batched = Plain;
   Batched.MaxBatchDelayMicros = 1000;
-  Batched.MaxBatchSize = 8;
   QueryEngine PlainEngine(G, Plain);
   QueryEngine BatchedEngine(G, Batched);
 
@@ -782,28 +791,33 @@ TEST(QueryEngineBatching, BatchedResultsBitIdenticalToUnbatched) {
   // runBatch submits one query at a time while collecting in order, so
   // whether the window ever engaged is workload-timing dependent — but it
   // must never exceed the configured bound.
-  EXPECT_LE(BatchedEngine.maxBatchWindowMicros(), 1000);
-  EXPECT_EQ(PlainEngine.maxBatchWindowMicros(), 0);
+  EXPECT_LE(BatchedEngine.policyCounters().MaxBatchWindowMicros, 1000);
+  EXPECT_EQ(PlainEngine.policyCounters().MaxBatchWindowMicros, 0);
 }
 
 TEST(QueryEngineBatching, WindowGrowsUnderBacklogAndCollapsesWhenDrained) {
-  // Deterministic recipe: a single worker busy with a slow full-graph
-  // SSSP while a burst of point queries piles up behind it. When the
-  // worker comes back it must see the backlog (window grows), drain it in
-  // batches, and finish with the queue empty (window collapses to 0).
+  // The engine's wiring of the batch window (the window's own rules are
+  // ServingPolicy.BatchWindow* in serving_policy_test.cpp): a single
+  // worker busy with a slow full-graph SSSP while a burst of point
+  // queries piles up behind it. When the worker comes back it must report
+  // each formed batch to the policy — the window grows with the backlog —
+  // drain it in batches, and finish with the queue empty (window
+  // collapses to 0).
   Graph G = roadWithCoords(40, 91);
   QueryEngine::Options Opts;
   Opts.NumWorkers = 1;
   Opts.DefaultSchedule.Delta = 2048;
   Opts.MaxBatchDelayMicros = 2000;
-  Opts.MaxBatchSize = 8;
   QueryEngine Engine(G, Opts);
 
   Query Slow;
   Slow.Kind = QueryKind::SSSP;
   Slow.Source = 0;
   Slow.CollectReached = true;
-  // Free the cores first, as EwmaIsolationAcrossImportanceClasses does.
+  // Release this thread's idle OpenMP pool first. After the graph build
+  // its threads spin for milliseconds and hold the other cores, so the
+  // woken worker takes this thread's core, and the submits below would
+  // run only after the slow query, with nothing left in the queue.
   omp_pause_resource_all(omp_pause_soft);
   uint64_t SlowTicket = Engine.submit(Slow);
   // Wait for the worker to pick it up so the burst below queues *behind*
@@ -826,11 +840,12 @@ TEST(QueryEngineBatching, WindowGrowsUnderBacklogAndCollapsesWhenDrained) {
 
   // The backlog must have engaged the window at least once (the worker
   // finished the slow query with 32 queries pending), within its bound...
-  EXPECT_GT(Engine.maxBatchWindowMicros(), 0);
-  EXPECT_LE(Engine.maxBatchWindowMicros(), Opts.MaxBatchDelayMicros);
+  const ServingPolicy::Counters C = Engine.policyCounters();
+  EXPECT_GT(C.MaxBatchWindowMicros, 0);
+  EXPECT_LE(C.MaxBatchWindowMicros, Opts.MaxBatchDelayMicros);
   // ...and the final batch (which drained the queue) collapsed it.
   EXPECT_EQ(Engine.batchWindowMicros(), 0);
-  EXPECT_EQ(Engine.queriesServed(), 33u);
+  EXPECT_EQ(C.served(), 33u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -972,183 +987,4 @@ TEST(QueryEngineLive, HotHitsRaceInPlaceRepairs) {
   EXPECT_GT(Checked, 0u);
   EXPECT_GT(Engine.hotHits(), 40u);
   EXPECT_GT(Engine.hotRepairs(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
-// Importance classes: (kind × class) EWMA isolation and the feedback
-// controller.
-//===----------------------------------------------------------------------===//
-
-TEST(QueryEngineClasses, EwmaIsolationAcrossImportanceClasses) {
-  // Regression for the class-blind per-kind EWMA: completions in one
-  // importance class must never warm (or inflate) another class's EWMA,
-  // and a class whose own EWMA is cold must not be soft-water degraded
-  // off the back of a different class's service times.
-  Graph G = roadWithCoords(48, 59);
-  QueryEngine::Options Opts;
-  Opts.NumWorkers = 1;
-  Opts.DefaultSchedule.configApplyPriorityUpdateDelta(256);
-  Opts.AdmissionSoftWater = 2;
-  QueryEngine Engine(G, Opts);
-
-  // Warm ONLY the (PPSP, class 3) cell: importance-0 point queries at an
-  // empty queue.
-  for (int I = 0; I < 4; ++I) {
-    Query W;
-    W.Kind = QueryKind::PPSP;
-    W.Source = 0;
-    W.Target = static_cast<VertexId>(G.numNodes() - 1);
-    W.Importance = 0;
-    ASSERT_EQ(Engine.runBatch({W})[0].Status, QueryStatus::Ok);
-  }
-  EXPECT_GT(Engine.serviceEwmaMicros(QueryKind::PPSP, importanceClass(0)),
-            0.0);
-  // The premium class and the other kinds stayed cold — class isolation
-  // on the warm path.
-  EXPECT_EQ(Engine.serviceEwmaMicros(QueryKind::PPSP, importanceClass(3)),
-            0.0);
-  EXPECT_EQ(Engine.serviceEwmaMicros(QueryKind::SSSP, importanceClass(0)),
-            0.0);
-
-  // Occupy the worker, then queue deadline-less point queries past the
-  // soft-water mark: class-3 traffic (warm EWMA) must be degraded;
-  // class-0 traffic (cold EWMA) must NOT be — before the (kind × class)
-  // split, the shared PPSP EWMA degraded both.
-  Query Slow;
-  Slow.Kind = QueryKind::SSSP;
-  Slow.Source = 0;
-  Slow.Sched = scheduleFor(0);
-  Slow.Sched->configApplyPriorityUpdateDelta(1);
-  Slow.Importance = 3;
-  // Release this thread's idle OpenMP pool first. After the graph build
-  // its threads spin for milliseconds and hold the other cores, so the
-  // woken worker takes this thread's core, and the submits below would
-  // run only after the slow query, with nothing left in the queue.
-  omp_pause_resource_all(omp_pause_soft);
-  uint64_t SlowTicket = Engine.submit(Slow);
-  while (Engine.queueDepth() > 0)
-    std::this_thread::yield();
-
-  std::vector<uint64_t> Bulk, Premium;
-  for (int I = 0; I < 4; ++I) {
-    Query Q;
-    Q.Kind = QueryKind::PPSP;
-    Q.Source = 0;
-    Q.Target = static_cast<VertexId>(1 + I);
-    Q.Importance = 0;
-    Bulk.push_back(Engine.submit(Q));
-  }
-  for (int I = 0; I < 4; ++I) {
-    Query Q;
-    Q.Kind = QueryKind::PPSP;
-    Q.Source = 0;
-    Q.Target = static_cast<VertexId>(64 + I);
-    Q.Importance = 3;
-    Premium.push_back(Engine.submit(Q));
-  }
-
-  int BulkDegraded = 0;
-  for (uint64_t T : Bulk)
-    if (Engine.collect(T).Degraded)
-      ++BulkDegraded;
-  for (uint64_t T : Premium) {
-    QueryResult R = Engine.collect(T);
-    EXPECT_FALSE(R.Degraded)
-        << "cold premium class degraded from another class's EWMA";
-  }
-  Engine.collect(SlowTicket);
-
-  EXPECT_GT(BulkDegraded, 0);
-  EXPECT_EQ(Engine.queriesDegradedInClass(importanceClass(3)), 0u);
-  EXPECT_EQ(Engine.queriesDegradedInClass(importanceClass(0)),
-            static_cast<uint64_t>(BulkDegraded));
-}
-
-TEST(QueryEngineClasses, ControllerTightensToFloorsThenRelaxesToCeilings) {
-  // The AIMD loop end to end, timing-robust: class 0 carries an
-  // unmeetable 1µs target, so any class-0 window is a miss and the
-  // controller tightens additively until every knob pins at its floor;
-  // class 1 carries an unmissable 10s target, so class-1-only traffic
-  // yields all-slack windows and the controller relaxes multiplicatively
-  // back to the configured ceilings. Every trace event must stay within
-  // [floor, ceiling].
-  Graph G = roadWithCoords(24, 67);
-  QueryEngine::Options Opts;
-  Opts.NumWorkers = 2;
-  Opts.DefaultSchedule.configApplyPriorityUpdateDelta(1024);
-  Opts.MaxBatchDelayMicros = 1600;
-  Opts.AdmissionHighWater = 64;
-  Opts.AdmissionSoftWater = 32;
-  Opts.ClassSlo[0] = 1;          // class 0: always a miss
-  Opts.ClassSlo[1] = 10000000;   // class 1: always slack
-  Opts.ControllerIntervalMicros = 300;
-  Opts.ControllerMinSamples = 1;
-  Opts.ControllerHysteresisTicks = 2;
-  Opts.ControllerMinBatchDelayMicros = 200;
-  Opts.ControllerMinHighWater = 16;
-  Opts.ControllerMinSoftWater = 8;
-  QueryEngine Engine(G, Opts);
-
-  EXPECT_EQ(Engine.currentBatchDelayMicros(), Opts.MaxBatchDelayMicros);
-  EXPECT_EQ(Engine.currentHighWater(), Opts.AdmissionHighWater);
-  EXPECT_EQ(Engine.currentSoftWater(), Opts.AdmissionSoftWater);
-
-  auto pointQuery = [&](int Importance) {
-    Query Q;
-    Q.Kind = QueryKind::PPSP;
-    Q.Source = 0;
-    Q.Target = static_cast<VertexId>(G.numNodes() - 1);
-    Q.Importance = Importance;
-    return Q;
-  };
-
-  // Phase 1: class-0 traffic (Importance 3) until the floors are reached.
-  bool AtFloors = false;
-  for (int I = 0; I < 4000 && !AtFloors; ++I) {
-    ASSERT_EQ(Engine.runBatch({pointQuery(3)})[0].Status, QueryStatus::Ok);
-    AtFloors =
-        Engine.currentBatchDelayMicros() ==
-            Opts.ControllerMinBatchDelayMicros &&
-        Engine.currentHighWater() == Opts.ControllerMinHighWater &&
-        Engine.currentSoftWater() == Opts.ControllerMinSoftWater;
-  }
-  EXPECT_TRUE(AtFloors) << "controller never tightened to its floors";
-  EXPECT_GT(Engine.controllerTightens(), 0u);
-
-  // Phase 2: class-1 traffic only (Importance 2) — class-0 windows go
-  // empty (no evidence), class-1 windows are pure slack — until the
-  // knobs relax back up to the configured ceilings.
-  bool AtCeilings = false;
-  for (int I = 0; I < 4000 && !AtCeilings; ++I) {
-    ASSERT_EQ(Engine.runBatch({pointQuery(2)})[0].Status, QueryStatus::Ok);
-    AtCeilings =
-        Engine.currentBatchDelayMicros() == Opts.MaxBatchDelayMicros &&
-        Engine.currentHighWater() == Opts.AdmissionHighWater &&
-        Engine.currentSoftWater() == Opts.AdmissionSoftWater;
-  }
-  EXPECT_TRUE(AtCeilings) << "controller never relaxed to its ceilings";
-  EXPECT_GT(Engine.controllerRelaxes(), 0u);
-
-  // Every recorded knob value stayed within its configured bounds, and
-  // the per-class windows the ticks saw are internally consistent.
-  std::vector<ControllerEvent> Trace = Engine.controllerTrace();
-  ASSERT_FALSE(Trace.empty());
-  for (const ControllerEvent &Ev : Trace) {
-    EXPECT_GE(Ev.BatchDelayMicros, Opts.ControllerMinBatchDelayMicros);
-    EXPECT_LE(Ev.BatchDelayMicros, Opts.MaxBatchDelayMicros);
-    EXPECT_GE(Ev.HighWater, Opts.ControllerMinHighWater);
-    EXPECT_LE(Ev.HighWater, Opts.AdmissionHighWater);
-    EXPECT_GE(Ev.SoftWater, Opts.ControllerMinSoftWater);
-    EXPECT_LE(Ev.SoftWater, Opts.AdmissionSoftWater);
-    EXPECT_TRUE(Ev.Action >= -1 && Ev.Action <= 1);
-  }
-
-  // Per-class served counters saw both phases; the engine-side class
-  // latency snapshots hold every Ok completion.
-  EXPECT_GT(Engine.queriesServedInClass(0), 0u);
-  EXPECT_GT(Engine.queriesServedInClass(1), 0u);
-  EXPECT_EQ(Engine.classLatencySnapshot(0).count() +
-                Engine.classLatencySnapshot(1).count(),
-            Engine.queriesServedInClass(0) +
-                Engine.queriesServedInClass(1));
 }

@@ -446,7 +446,7 @@ TEST(QueryEngineLive, QueriesTrackPublishedVersions) {
     std::vector<QueryResult> Results = Engine.runBatch(Batch);
     SnapshotStore::Snapshot Snap = Store.current();
     for (size_t I = 0; I < Batch.size(); ++I) {
-      ASSERT_FALSE(Results[I].Failed);
+      ASSERT_NE(Results[I].Status, QueryStatus::Failed);
       PPSPResult Direct = pointToPointShortestPath(
           *Snap, Batch[I].Source, Batch[I].Target, S);
       EXPECT_EQ(Results[I].Dist, Direct.Dist) << "query " << I;
@@ -485,7 +485,7 @@ TEST(QueryEngineLive, InFlightQueriesSurviveConcurrentPublishes) {
     }
     std::vector<QueryResult> Results = Engine.runBatch(Batch);
     for (const QueryResult &R : Results) {
-      EXPECT_FALSE(R.Failed);
+      EXPECT_NE(R.Status, QueryStatus::Failed);
       // Grid stays connected under these update mixes rarely breaks a
       // local pair; the hard guarantee is completion with a finite or
       // infinite distance, never a crash or a torn read.

@@ -167,7 +167,7 @@ TEST(VertexInsertion, InsertThenQueryUnreachableThenSeeded) {
   Query Warm;
   Warm.Kind = QueryKind::SSSP;
   Warm.Source = 0;
-  ASSERT_FALSE(Engine.runBatch({Warm})[0].Failed);
+  ASSERT_NE(Engine.runBatch({Warm})[0].Status, QueryStatus::Failed);
 
   VertexId NewV = Engine.addVertices(1);
   EXPECT_EQ(NewV, static_cast<VertexId>(G.numNodes()));
@@ -183,8 +183,8 @@ TEST(VertexInsertion, InsertThenQueryUnreachableThenSeeded) {
   From.Source = NewV;
   From.CollectReached = true;
   std::vector<QueryResult> R = Engine.runBatch({To, From});
-  ASSERT_FALSE(R[0].Failed);
-  ASSERT_FALSE(R[1].Failed);
+  ASSERT_NE(R[0].Status, QueryStatus::Failed);
+  ASSERT_NE(R[1].Status, QueryStatus::Failed);
   EXPECT_EQ(R[0].Dist, kInfiniteDistance);
   ASSERT_EQ(R[1].Reached.size(), 1u); // the source itself
   EXPECT_EQ(R[1].Reached[0].first, NewV);
@@ -257,7 +257,7 @@ TEST(VertexInsertion, UnderPermutedStoreRoundTripsExternalIds) {
   std::vector<QueryResult> Got = Engine.runBatch(Queries);
   std::vector<QueryResult> Want = Reference.runBatch(Queries);
   for (size_t I = 0; I < Queries.size(); ++I) {
-    ASSERT_FALSE(Got[I].Failed) << I;
+    ASSERT_NE(Got[I].Status, QueryStatus::Failed) << I;
     EXPECT_EQ(Got[I].Dist, Want[I].Dist) << I;
     EXPECT_EQ(Got[I].Reached, Want[I].Reached) << I;
   }

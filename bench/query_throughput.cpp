@@ -12,7 +12,7 @@
 //
 //   naive  — one fresh pointToPointShortestPath/aStarSearch per query:
 //            every query allocates and infinity-fills O(V) arrays.
-//   pooled — QueryEngine::runBatch: per-worker epoch-versioned state
+//   pooled — QueryEngine::runBatch: per-worker pooled DistanceState
 //            (O(touched) setup) + ALT landmark heuristic for A*.
 //
 // One JSON line per batch size:

@@ -52,12 +52,13 @@ namespace detail {
 
 /// Default (no-op) improvement observer for `distanceOrderedRun`.
 struct NoTouchFn {
-  void operator()(VertexId, VertexId) const {}
+  void operator()(VertexId, VertexId, bool) const {}
 };
 
 /// The eager engine's relaxation closure over a distance array: re-checks
 /// staleness against the fine key being processed, CASes improvements in,
-/// and pushes improved neighbors at their fine key.
+/// reports each to \p Touch with whether it replaced ∞, and pushes
+/// improved neighbors at their fine key.
 template <typename GraphT, typename HeurFn, typename TouchFn>
 auto makeEagerRelax(const GraphT &G, std::vector<Priority> &Dist,
                     const int64_t Delta, HeurFn &Heur, TouchFn &Touch) {
@@ -87,17 +88,21 @@ auto makeEagerRelax(const GraphT &G, std::vector<Priority> &Dist,
         prefetchWrite(&Dist[R.id(I + kPrefetchDistance)]);
       VertexId V = R.id(I);
       Priority ND = DU + R.weight(I);
+      // The value seen, which a successful CAS overwrites with the value
+      // it replaced.
+      Priority Old;
       bool Improved;
       if (Concurrent) {
-        Improved =
-            ND < atomicLoadRelaxed(&Dist[V]) && atomicWriteMin(&Dist[V], ND);
+        Old = atomicLoadRelaxed(&Dist[V]);
+        Improved = ND < Old && atomicWriteMin(&Dist[V], ND, &Old);
       } else {
-        Improved = ND < Dist[V];
+        Old = Dist[V];
+        Improved = ND < Old;
         if (Improved)
           Dist[V] = ND;
       }
       if (Improved) {
-        Touch(V, U);
+        Touch(V, U, Old == kInfiniteDistance);
         Push(V, std::max(C.fineKey(ND + Heur(V)), CurrKey));
       }
     }
@@ -122,27 +127,30 @@ void lazyDistanceLoop(const GraphT &G, LazyBucketQueue &Queue,
   auto Push = [&](VertexId Sv, VertexId Dv, Weight W) {
     if (!Concurrent) {
       Priority ND = Dist[Sv] + W;
-      if (ND < Dist[Dv]) {
+      Priority Old = Dist[Dv];
+      if (ND < Old) {
         Dist[Dv] = ND;
-        Touch(Dv, Sv);
+        Touch(Dv, Sv, Old == kInfiniteDistance);
         return true;
       }
       return false;
     }
     Priority ND = atomicLoadRelaxed(&Dist[Sv]) + W;
-    if (ND < atomicLoadRelaxed(&Dist[Dv]) && atomicWriteMin(&Dist[Dv], ND)) {
-      Touch(Dv, Sv);
+    Priority Old = atomicLoadRelaxed(&Dist[Dv]);
+    if (ND < Old && atomicWriteMin(&Dist[Dv], ND, &Old)) {
+      Touch(Dv, Sv, Old == kInfiniteDistance);
       return true;
     }
     return false;
   };
   auto Pull = [&](VertexId Sv, VertexId Dv, Weight W) {
     Priority ND = atomicLoad(&Dist[Sv]) + W;
-    if (ND < Dist[Dv]) {
+    Priority Old = Dist[Dv];
+    if (ND < Old) {
       // Dv is owned by this thread during a pull round, but other threads
       // read it concurrently as a source — store atomically (relaxed).
       atomicStoreRelaxed(&Dist[Dv], ND);
-      Touch(Dv, Sv);
+      Touch(Dv, Sv, Old == kInfiniteDistance);
       return true;
     }
     return false;
@@ -195,11 +203,15 @@ void lazyDistanceLoop(const GraphT &G, LazyBucketQueue &Queue,
 /// to an admissible, consistent lower bound on its remaining distance
 /// (return 0 for plain SSSP). \p Stop is evaluated on round-stable state at
 /// bucket boundaries with the current bucket key. \p Touch is invoked as
-/// `Touch(V, U)` after every successful relaxation that lowered `Dist[V]`
-/// via the edge (U, V); unless the run has a one-thread team, it runs
-/// concurrently from many threads and must synchronize internally (the
-/// pooled `DistanceState::makeTouchFn` logs touched vertices and parents,
-/// and picks its log by that test; the default is a no-op).
+/// `Touch(V, U, First)` after every successful relaxation that lowered
+/// `Dist[V]` via the edge (U, V). `First` is true iff the write replaced
+/// kInfiniteDistance: distances only fall during a run, and only one write
+/// (one CAS, under concurrency) can replace ∞, so it holds for exactly one
+/// call per vertex the run lifts off ∞. Unless the run has a one-thread team,
+/// \p Touch runs concurrently from many threads and must synchronize
+/// internally (the pooled `DistanceState::makeTouchFn` logs each vertex on
+/// its `First` call and records parents, and picks its log by that test;
+/// the default is a no-op).
 template <typename GraphT, typename HeurFn, typename StopFn,
           typename TouchFn = NoTouchFn>
 OrderedStats distanceOrderedRun(const GraphT &G, VertexId Source,

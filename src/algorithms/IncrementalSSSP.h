@@ -39,6 +39,13 @@
 /// graph is served by repairing the source's full SSSP state and reading
 /// `State.dist(target)`.
 ///
+/// Repair is the only code that returns logged vertices to ∞, so it alone
+/// must keep the log from taking them twice: the state logs a vertex when
+/// a write replaces ∞ (`First`, see algorithms/QueryState.h). After the
+/// sweep the affected set and the inherited cut-off list carry the
+/// affected mark in `RepairScratch::Mark`, and both the seed loop and the
+/// settle's touch callback clear `First` for marked vertices.
+///
 /// Repair needs incoming adjacency to scan the affected boundary; on
 /// graphs built without it (and for affected sets so large that repair
 /// would cost more than a fresh run) it falls back to a full recompute —
@@ -74,8 +81,9 @@ struct RepairStats {
 };
 
 /// Reusable O(V) mark space for the affected-set sweep, epoch-stamped so
-/// consecutive repairs pay O(affected), not O(V). Pool one per worker
-/// alongside its DistanceState.
+/// consecutive repairs pay O(affected), not O(V). A repair's affected
+/// mark also names the logged vertices it may lift off ∞ again. Pool one
+/// per worker alongside its DistanceState.
 class RepairScratch {
 public:
   void ensure(Count NumNodes) {
@@ -197,15 +205,24 @@ RepairStats repairAfterUpdates(const GraphT &G,
 
   for (VertexId V : Affected)
     Dist[V] = kInfiniteDistance;
+  // Every logged vertex now at ∞ is affected or on the cut-off list; mark
+  // them all so that lifting one off ∞ does not log it a second time.
+  for (VertexId V : State.cutOff())
+    Scratch.Mark[V] = AffectedEpoch;
+  auto FirstTouch = [&Scratch, AffectedEpoch](VertexId V, bool First) {
+    return First && Scratch.Mark[V] != AffectedEpoch;
+  };
 
   // Phase 2: seed. Serial — the affected region is small by construction
   // (that is the point of taking this path instead of the fallback).
   std::vector<VertexId> Seeds;
   auto RelaxSeed = [&](VertexId V, Priority ND, VertexId From) {
-    if (ND >= Dist[V])
+    const Priority Old = Dist[V];
+    if (ND >= Old)
       return;
     Dist[V] = ND;
-    State.recordImprovementSerial(V, From);
+    State.recordImprovementSerial(
+        V, From, FirstTouch(V, Old == kInfiniteDistance));
     if (Scratch.Mark[V] != SeedEpoch) {
       Scratch.Mark[V] = SeedEpoch;
       Seeds.push_back(V);
@@ -229,8 +246,13 @@ RepairStats repairAfterUpdates(const GraphT &G,
   R.SeedVertices = static_cast<Count>(Seeds.size());
 
   // Phase 3: settle from the seeds through the ordinary ordered engine.
-  R.Engine =
-      detail::distanceOrderedSeededRun(G, Seeds, Dist, S, State.makeTouchFn());
+  // A seed's mark now reads SeedEpoch, but seeds are finite, so the
+  // engine never reports them as First.
+  auto Log = State.makeTouchFn();
+  R.Engine = detail::distanceOrderedSeededRun(
+      G, Seeds, Dist, S, [&](VertexId V, VertexId From, bool First) {
+        Log(V, From, FirstTouch(V, First));
+      });
   State.rebuildCutOff(Affected);
   return R;
 }

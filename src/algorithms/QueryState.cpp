@@ -10,7 +10,6 @@
 #include "support/Atomics.h"
 #include "support/Parallel.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace graphit;
@@ -19,7 +18,6 @@ DistanceState::DistanceState(Count NumNodes, bool WithParents)
     : Dist(static_cast<size_t>(NumNodes), kInfiniteDistance),
       Parent(WithParents ? static_cast<size_t>(NumNodes) : 0,
              kInvalidVertex),
-      Stamp(static_cast<size_t>(NumNodes), 0),
       Touched(static_cast<size_t>(NumNodes)), TrackParents(WithParents) {}
 
 void DistanceState::resize(Count NewNumNodes) {
@@ -29,10 +27,6 @@ void DistanceState::resize(Count NewNumNodes) {
   Dist.resize(N, kInfiniteDistance);
   if (TrackParents)
     Parent.resize(N, kInvalidVertex);
-  // Stamp 0 can never alias the live epoch: beginQuery keeps Epoch >= 1
-  // once any query ran, and with Epoch == 0 no improvement has been
-  // recorded yet.
-  Stamp.resize(N, 0);
   Touched.resize(N);
 }
 
@@ -49,29 +43,22 @@ void DistanceState::beginQuery(VertexId Source) {
       Parallelization::StaticVertexParallel);
   NumTouched = 0;
   CutOff.clear();
-
-  ++Epoch;
-  if (Epoch == 0) {
-    // The 32-bit epoch wrapped (once per ~4 billion queries): a vertex
-    // last stamped exactly 2^32 queries ago would alias the new epoch and
-    // silently skip the touched log, so clear all stamps once.
-    std::fill(Stamp.begin(), Stamp.end(), 0u);
-    Epoch = 1;
-  }
   ++QueriesBegun;
 
   Source_ = Source;
   Dist[Source] = 0;
-  recordImprovementSerial(Source, Source);
+  recordImprovementSerial(Source, Source, /*First=*/true);
 }
 
-void DistanceState::recordImprovement(VertexId V, VertexId From) {
+void DistanceState::recordImprovement(VertexId V, VertexId From,
+                                      bool First) {
   if (TrackParents)
     atomicStoreRelaxed(&Parent[V], From);
-  uint32_t Cur = Epoch;
-  if (atomicLoadRelaxed(&Stamp[V]) != Cur &&
-      atomicExchange(&Stamp[V], Cur) != Cur)
-    Touched[static_cast<size_t>(fetchAdd(&NumTouched, Count{1}))] = V;
+  if (First) {
+    Count Slot = fetchAdd(&NumTouched, Count{1});
+    assert(Slot < numNodes() && "a vertex was logged twice");
+    Touched[static_cast<size_t>(Slot)] = V;
+  }
 }
 
 void DistanceState::rebuildCutOff(const std::vector<VertexId> &Invalidated) {
@@ -82,9 +69,7 @@ void DistanceState::rebuildCutOff(const std::vector<VertexId> &Invalidated) {
   CutOff.resize(Kept);
   // Invalidated vertices were finite before the repair, so none is on the
   // old list: the union has no duplicates.
-  for (VertexId V : Invalidated) {
-    assert(Stamp[V] == Epoch && "an invalidated vertex must be logged");
+  for (VertexId V : Invalidated)
     if (Dist[V] >= kInfiniteDistance)
       CutOff.push_back(V);
-  }
 }

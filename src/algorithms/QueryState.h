@@ -11,20 +11,27 @@
 /// A fresh query pays O(V) just to fill the distance array with infinity —
 /// on a road network that costs more than a nearby point-to-point query
 /// itself. `DistanceState` amortizes it: the arrays are allocated and
-/// initialized once, every query logs the vertices it improves
-/// (epoch-stamped, so each vertex is logged at most once per query), and
-/// the next `beginQuery` resets exactly those — O(touched), not O(V).
-/// The state holds only per-vertex arrays; the eager engine's bins and
-/// round shares belong to the run, sized by the vertices it pushes.
+/// initialized once, every query logs the vertices it improves, and the
+/// next `beginQuery` resets exactly those — O(touched), not O(V).
+/// The state holds only per-vertex arrays (12 bytes per vertex, 16 with
+/// parents); the eager engine's bins and round shares belong to the run,
+/// sized by the vertices it pushes.
+///
+/// A vertex is logged when its distance leaves ∞. The engine reports each
+/// improvement with the value it replaced (`First` = that value was ∞;
+/// see `distanceOrderedRun`), and distances only fall within a query, so
+/// `First` holds once per reached vertex and needs no per-vertex stamp.
+/// The one code that puts logged vertices back at ∞, incremental repair,
+/// clears `First` for them itself (algorithms/IncrementalSSSP.h).
 ///
 /// The log has two write paths. An engine run takes its `Touch` callback
 /// from `makeTouchFn`, which picks the *plain* log (ordinary loads and stores)
-/// when `omp_get_max_threads() == 1` and the *atomic* log (epoch-stamp
-/// exchange plus fetch-and-add slot) otherwise. That is the test the
-/// eager engine already uses to drop its CAS on the distance array: the
-/// run's parallel regions take their team size from the same ICV, so on a
-/// one-thread team nothing else writes the log. The serving tier runs
-/// each query that way (`OmpThreadsPerQuery = 1`).
+/// when `omp_get_max_threads() == 1` and the *atomic* log (a fetch-and-add
+/// slot) otherwise. That is the test the eager engine already uses to
+/// drop its CAS on the distance array: the run's parallel regions take
+/// their team size from the same ICV, so on a one-thread team nothing else
+/// writes the log. The serving tier runs each query that way
+/// (`OmpThreadsPerQuery = 1`).
 ///
 /// The state also counts its reach in O(1). `numReached()` is the log's
 /// length minus a list of logged vertices that incremental repair left at
@@ -42,6 +49,7 @@
 
 #include "support/Types.h"
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <omp.h>
@@ -49,7 +57,7 @@
 
 namespace graphit {
 
-/// Epoch-versioned distance/parent arrays plus a touched-vertex log.
+/// Reusable distance/parent arrays plus a touched-vertex log.
 ///
 /// Usage per query:
 ///   State.beginQuery(Source);            // O(touched by previous query)
@@ -72,7 +80,7 @@ public:
   bool tracksParents() const { return TrackParents; }
 
   /// Prepares for a new query from \p Source: resets every vertex touched
-  /// by the previous query back to infinity, bumps the epoch, and seeds
+  /// by the previous query back to infinity, empties the log, and seeds
   /// `Dist[Source] = 0` (logging the source as touched).
   void beginQuery(VertexId Source);
 
@@ -85,25 +93,23 @@ public:
 
   /// Records that `Dist[V]` was lowered via the edge (\p From, V), in the
   /// atomic log: safe to call concurrently from the relaxation inner loop
-  /// of a multi-threaded run. The first improvement of V this epoch
-  /// appends V to the touched log (exactly once, via an atomic epoch-stamp
-  /// exchange; a fetch-and-add claims its slot); every improvement updates
-  /// the parent.
+  /// of a multi-threaded run. Every improvement updates the parent; the
+  /// one with \p First set (the write that took V off ∞) appends V to the
+  /// touched log, claiming its slot with a fetch-and-add.
   ///
-  /// Defined out of line on purpose: its locked read-modify-writes cost
-  /// more than the call, and inline copies in every pooled engine would
-  /// spend GCC's per-file inlining budget (`inline-unit-growth`) that the
-  /// fresh engines compiled in the same file need.
-  void recordImprovement(VertexId V, VertexId From);
+  /// Defined out of line on purpose: inline copies in every pooled engine
+  /// would spend GCC's per-file inlining budget (`inline-unit-growth`)
+  /// that the fresh engines compiled in the same file need.
+  void recordImprovement(VertexId V, VertexId From, bool First);
 
   /// The plain log: the effect of `recordImprovement` with ordinary loads
   /// and stores. Only for code no other thread runs alongside — a serial
   /// loop, or an engine run on a one-thread team (see `makeTouchFn`).
-  void recordImprovementSerial(VertexId V, VertexId From) {
+  void recordImprovementSerial(VertexId V, VertexId From, bool First) {
     if (TrackParents)
       Parent[V] = From;
-    if (Stamp[V] != Epoch) {
-      Stamp[V] = Epoch;
+    if (First) {
+      assert(NumTouched < numNodes() && "a vertex was logged twice");
       Touched[static_cast<size_t>(NumTouched++)] = V;
     }
   }
@@ -115,11 +121,11 @@ public:
   /// that runs the engine, once per run.
   auto makeTouchFn() {
     const bool Concurrent = omp_get_max_threads() > 1;
-    return [this, Concurrent](VertexId V, VertexId From) {
+    return [this, Concurrent](VertexId V, VertexId From, bool First) {
       if (Concurrent)
-        recordImprovement(V, From);
+        recordImprovement(V, From, First);
       else
-        recordImprovementSerial(V, From);
+        recordImprovementSerial(V, From, First);
     };
   }
 
@@ -136,10 +142,10 @@ public:
     return TrackParents ? Parent[V] : kInvalidVertex;
   }
 
-  /// Vertices improved by the current query, in first-touch order
-  /// (nondeterministic across runs). After a fresh run these are exactly
-  /// the vertices with finite distance; after `repairAfterUpdates` they
-  /// also include the vertices deletions cut off (see `numReached`).
+  /// Vertices improved by the current query, each once, in first-touch
+  /// order (nondeterministic across runs). After a fresh run these are
+  /// exactly the vertices with finite distance; after `repairAfterUpdates`
+  /// they also include the vertices deletions cut off (see `numReached`).
   Count numTouched() const { return NumTouched; }
   VertexId touched(Count I) const { return Touched[static_cast<size_t>(I)]; }
 
@@ -150,6 +156,10 @@ public:
     return NumTouched - static_cast<Count>(CutOff.size());
   }
 
+  /// Logged vertices that incremental repair left at ∞. Repair reads it
+  /// before it settles: an improvement of one of these is not `First`.
+  const std::vector<VertexId> &cutOff() const { return CutOff; }
+
   /// Incremental repair's update of the cut-off list, after it settled:
   /// keeps the vertices of the old list and of \p Invalidated (logged
   /// vertices this repair reset to ∞) that are still at ∞. Settling only
@@ -157,7 +167,7 @@ public:
   /// O(|Invalidated| + old list).
   void rebuildCutOff(const std::vector<VertexId> &Invalidated);
 
-  /// Queries served by this state so far (epoch counter).
+  /// Queries served by this state so far.
   uint64_t queriesBegun() const { return QueriesBegun; }
 
   /// Source vertex of the current query (kInvalidVertex before the first
@@ -167,11 +177,9 @@ public:
 private:
   std::vector<Priority> Dist;
   std::vector<VertexId> Parent;  ///< empty unless TrackParents
-  std::vector<uint32_t> Stamp;   ///< epoch stamp per vertex
   std::vector<VertexId> Touched; ///< capacity NumNodes; first NumTouched valid
   Count NumTouched = 0;
   std::vector<VertexId> CutOff; ///< logged vertices at ∞ (see numReached)
-  uint32_t Epoch = 0;
   uint64_t QueriesBegun = 0;
   VertexId Source_ = kInvalidVertex;
   bool TrackParents;

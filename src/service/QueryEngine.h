@@ -12,9 +12,9 @@
 ///
 /// What makes serving different from the paper's single-run setting:
 ///
-///  * every worker owns a pooled `DistanceState` (epoch-versioned
-///    distance/parent arrays), so a query pays O(touched) setup instead of
-///    the O(V) infinity-fill a fresh run pays;
+///  * every worker owns a pooled `DistanceState` (distance/parent arrays
+///    plus a log of the vertices each query reached), so a query pays
+///    O(touched) setup instead of the O(V) infinity-fill a fresh run pays;
 ///  * an optional `LandmarkCache` (ALT) sharpens the A* bound beyond the
 ///    coordinate heuristic, shared read-only by all workers;
 ///  * each query runs through the ordinary ordered engine — eager with

@@ -41,14 +41,20 @@ template <typename T> bool atomicCAS(T *Target, T Expected, T Desired) {
 }
 
 /// Atomically lowers `*Target` to \p Value if `Value < *Target`.
-/// \returns true iff this call lowered the stored value.
-template <typename T> bool atomicWriteMin(T *Target, T Value) {
+/// \returns true iff this call lowered the stored value; on success a
+/// non-null \p Replaced receives the value the write replaced. While a
+/// slot only falls, one call at most replaces any given value.
+template <typename T>
+bool atomicWriteMin(T *Target, T Value, T *Replaced = nullptr) {
   T Current = detail::asAtomic(*Target).load(std::memory_order_relaxed);
   while (Value < Current) {
     if (detail::asAtomic(*Target).compare_exchange_weak(
             Current, Value, std::memory_order_acq_rel,
-            std::memory_order_acquire))
+            std::memory_order_acquire)) {
+      if (Replaced)
+        *Replaced = Current;
       return true;
+    }
   }
   return false;
 }

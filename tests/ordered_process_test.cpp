@@ -425,7 +425,7 @@ TEST(EagerSubBins, FusedDrainExpandsInPriorityOrder) {
   detail::distanceOrderedRun(
       G, 0, Dist, S, [](VertexId) { return Priority{0}; },
       [](int64_t) { return false; },
-      [&](VertexId V, VertexId) { TouchesOf3 += V == 3; });
+      [&](VertexId V, VertexId, bool) { TouchesOf3 += V == 3; });
   EXPECT_EQ(Dist, (std::vector<Priority>{0, 16, 8, 24}));
   EXPECT_EQ(TouchesOf3, 1);
 }

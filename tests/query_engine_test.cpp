@@ -66,6 +66,27 @@ Schedule scheduleFor(int Which) {
   return S;
 }
 
+/// The touched log holds each vertex at finite distance exactly once, and
+/// `numReached()` counts them.
+void expectLogIsReachedSet(const DistanceState &State) {
+  const Count N = State.numNodes();
+  ASSERT_LE(State.numTouched(), N);
+  std::vector<uint8_t> InTouched(static_cast<size_t>(N), 0);
+  for (Count I = 0; I < State.numTouched(); ++I) {
+    VertexId V = State.touched(I);
+    EXPECT_FALSE(InTouched[V]) << "duplicate touched entry " << V;
+    InTouched[V] = 1;
+  }
+  Count Finite = 0;
+  for (Count V = 0; V < N; ++V) {
+    const bool Reached =
+        State.dist(static_cast<VertexId>(V)) < kInfiniteDistance;
+    Finite += Reached;
+    EXPECT_EQ(InTouched[V] != 0, Reached) << "vertex " << V;
+  }
+  EXPECT_EQ(State.numReached(), Finite);
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -110,21 +131,36 @@ TEST(DistanceState, TouchedListIsExactlyTheReachedSet) {
         pointToPointShortestPath(G, Src, Dst, S, State);
       else
         aStarSearch(G, Src, Dst, S, State);
-      std::vector<uint8_t> InTouched(static_cast<size_t>(G.numNodes()), 0);
-      for (Count I = 0; I < State.numTouched(); ++I) {
-        VertexId V = State.touched(I);
-        EXPECT_FALSE(InTouched[V]) << "duplicate touched entry " << V;
-        InTouched[V] = 1;
-      }
-      Count Finite = 0;
-      for (Count V = 0; V < G.numNodes(); ++V) {
-        const bool Reached =
-            State.dist(static_cast<VertexId>(V)) < kInfiniteDistance;
-        Finite += Reached;
-        EXPECT_EQ(InTouched[V] != 0, Reached) << "vertex " << V;
-      }
-      EXPECT_EQ(State.numReached(), Finite);
+      expectLogIsReachedSet(State);
     }
+
+  // Racing first touches. An R-MAT hub has hundreds of in-edges, and with
+  // weights 1-8 under Δ = 64 most of them relax in the same round, so
+  // several threads lift it off ∞ at once. Only the write that replaced
+  // ∞ may log it: the eager CAS, the lazy push CAS and the lazy pull's
+  // owner store alike. Reusing the state also covers the reset. Sixteen
+  // sources per schedule make the race likely: logging on the pre-check
+  // load instead of the CAS's replaced value failed 10 of 10 runs.
+  std::vector<Edge> Edges = rmatEdges(12, 16, 77);
+  assignRandomWeights(Edges, 1, 8, 5);
+  Graph Rmat = GraphBuilder().build(Count{1} << 12, Edges);
+  ASSERT_TRUE(Rmat.hasInEdges()); // DensePull needs them
+  ScopedThreads Scope(4);
+  for (int Which = 0; Which < 3; ++Which) {
+    Schedule RS;
+    RS.Delta = 64;
+    if (Which > 0) {
+      RS.Update = UpdateStrategy::Lazy;
+      RS.Dir = Which == 1 ? Direction::SparsePush : Direction::DensePull;
+    }
+    DistanceState State(Rmat.numNodes());
+    for (VertexId RSrc = 0; RSrc < Rmat.numNodes(); RSrc += 256) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rmat schedule=" << Which << " source=" << RSrc);
+      deltaSteppingSSSP(Rmat, RSrc, RS, State);
+      expectLogIsReachedSet(State);
+    }
+  }
 }
 
 TEST(DistanceState, PooledPPSPAndAStarMatchDijkstra) {

@@ -24,10 +24,10 @@
 // a bad ticket, and every submitted query resolves with a typed status.
 //
 // Pass `--sharded` to serve the same demo from a ShardedSnapshotStore
-// through the identical engine code (BasicQueryEngine is a template over
-// the Store concept): writers take per-shard locks, compaction folds one
-// shard at a time in the background, and the final report breaks the
-// fold counters out per shard.
+// through the identical engine code (both stores share one surface, and
+// BasicQueryEngine is instantiated for each): writers take per-shard
+// locks, compaction folds one shard at a time in the background, and the
+// final report breaks the fold counters out per shard.
 //
 // Build: cmake --build build --target example_live_road_server
 //
@@ -116,8 +116,8 @@ Count overlayEdgesOf(const ShardedDeltaView &V) {
   return Sum;
 }
 
-/// The whole demo, generic over the Store concept — the exact code path
-/// the engine runs in production for either store.
+/// The whole demo, generic over the store — the exact code path the
+/// engine runs in production for either one.
 template <typename StoreT>
 int runServer(StoreT &Store) {
   Schedule S;

@@ -21,7 +21,10 @@ in the `docs` CI job):
    adding an option without touching docs/serving.md fails CI. A struct
    that inherits fields (`BasicQueryEngine::Options` takes the serving
    policy's from `ServingPolicy::Config`) is checked for its own fields;
-   the base struct has its own entry and table.
+   the base struct has its own entry and table. So is
+   `ShardedSnapshotStore::Options`, whose base `StoreOptions` (the
+   settings both stores share, a namespace-scope struct) has its own
+   entry and table.
 
 Exit status: 0 = clean, 1 = findings, 2 = usage/environment error.
 
@@ -39,7 +42,7 @@ import sys
 OPTION_STRUCTS = {
     "BasicQueryEngine::Options": "src/service/QueryEngine.h",
     "ServingPolicy::Config": "src/service/ServingPolicy.h",
-    "SnapshotStore::Options": "src/service/SnapshotStore.h",
+    "StoreOptions": "src/service/SnapshotStore.h",
     "ShardedSnapshotStore::Options": "src/service/SnapshotStore.h",
 }
 
@@ -136,17 +139,23 @@ def check_links(root):
 
 def header_fields(root, struct):
     """Fields of `struct` parsed from its header: the `struct Options`
-    block (with or without a base clause) inside the named class."""
+    block (with or without a base clause) inside the named class, or a
+    namespace-scope struct when the name has no `::`."""
     cls, _, inner = struct.partition("::")
     path = os.path.join(root, OPTION_STRUCTS[struct])
     fields = []
     with open(path) as f:
         text = f.read()
-    cls_m = re.search(rf"^class {re.escape(cls)}\b", text, re.M)
-    if not cls_m:
-        raise RuntimeError(f"{path}: class {cls} not found")
-    sub = text[cls_m.start():]
-    opt_m = re.search(rf"struct {re.escape(inner)}\b[^{{;]*{{", sub)
+    sub = text
+    if inner:
+        cls_m = re.search(rf"^class {re.escape(cls)}\b", text, re.M)
+        if not cls_m:
+            raise RuntimeError(f"{path}: class {cls} not found")
+        sub = text[cls_m.start():]
+    else:
+        inner = cls
+    opt_m = re.search(rf"^\s*struct {re.escape(inner)}\b[^{{;]*{{", sub,
+                      re.M)
     if not opt_m:
         raise RuntimeError(f"{path}: struct {struct} not found")
     depth = 0
@@ -175,8 +184,8 @@ def doc_tables(root):
             m = HEADING_RE.match(line)
             if m:
                 heading = m.group(1).replace("`", "")
-                # Longest name first: "SnapshotStore::Options" is a
-                # substring of "ShardedSnapshotStore::Options".
+                # Longest name first, so a heading naming a longer
+                # struct is never claimed by a shorter one it contains.
                 current = next((s for s in sorted(OPTION_STRUCTS,
                                                   key=len, reverse=True)
                                 if s in heading), None)

@@ -680,8 +680,8 @@ Count BasicQueryEngine<StoreT>::freeVertexCount() const {
   return Store ? Store->freeVertexCount() : 0;
 }
 
-// The serving tier is compiled here once per supported store; the header
-// declares these as extern (see the Store concept in service/Store.h).
+// The serving tier is compiled here once per store; the header declares
+// these as extern.
 namespace graphit {
 namespace service {
 template class BasicQueryEngine<SnapshotStore>;

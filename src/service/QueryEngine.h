@@ -40,12 +40,14 @@
 /// the pending queue; the engine calls it under the queue mutex with
 /// `steady_clock::now()`.
 ///
-/// The engine is a template over the *Store* concept (service/Store.h):
+/// The engine is a template over the live store:
 /// `BasicQueryEngine<SnapshotStore>` (aliased `QueryEngine`) serves the
 /// single-writer store, `BasicQueryEngine<ShardedSnapshotStore>` (aliased
-/// `ShardedQueryEngine`) the sharded multi-writer store — one serving
-/// implementation, every feature (pooled states, landmarks, hot-state
-/// repair and sharing, admission control, deadlines) available over both.
+/// `ShardedQueryEngine`) the sharded multi-writer store. Both stores share
+/// one surface (`detail::StoreCore`, service/SnapshotStore.h), so this is
+/// one serving implementation, every feature (pooled states, landmarks,
+/// hot-state repair and sharing, admission control, deadlines) available
+/// over both.
 ///
 /// The operator's guide to the serving tier — every Options knob, the
 /// deadline/settled-prefix contract, admission control, adaptive
@@ -69,7 +71,6 @@
 #include "service/ServingPolicy.h"
 #include "service/SnapshotStore.h"
 #include "service/StatePool.h"
-#include "service/Store.h"
 #include "support/Cancellation.h"
 #include "support/LatencyHistogram.h"
 #include "support/ThreadSafety.h"
@@ -126,18 +127,13 @@ struct QueryResult {
 };
 
 /// Thread-pool query engine over one immutable graph snapshot — or, in
-/// *live mode*, over any model of the Store concept (service/Store.h;
-/// `SnapshotStore` and `ShardedSnapshotStore` both qualify): each query
+/// *live mode*, over a `SnapshotStore` or `ShardedSnapshotStore`: each query
 /// pins the latest published version for its lifetime, and
 /// `applyUpdates()` publishes the next version without blocking in-flight
 /// queries (they finish on the version they pinned). The graph / store
 /// must outlive the engine.
 template <class StoreT>
 class BasicQueryEngine {
-  static_assert(is_store_v<StoreT>,
-                "BasicQueryEngine requires a type modeling the Store "
-                "concept (see service/Store.h)");
-
 public:
   /// The five serving-policy settings (`MaxBatchDelayMicros`,
   /// `AdmissionHighWater`, `AdmissionSoftWater`, `ClassSlo`,
@@ -172,11 +168,14 @@ public:
     /// cold source warms it. 0 disables the cache. Ignored when
     /// `SharedHotCache` is set.
     ///
-    /// The repair protocol tracks versions one publish at a time, so a
-    /// *background* compaction (whose rebuilt base publishes its own
-    /// version outside applyUpdates) invalidates the cache until the
-    /// sources are re-warmed — pair the hot cache with synchronous
-    /// compaction (the store default) for uninterrupted repair.
+    /// The repair protocol tracks versions one publish at a time, so any
+    /// publish outside applyUpdates drops every cached state; only SSSP
+    /// queries re-warm them (PPSP and A* misses do not). A background
+    /// compaction publishes that way on both stores, and on
+    /// `ShardedSnapshotStore` so does every shard fold, synchronous ones
+    /// included: hot states there last until the first fold. Pair the
+    /// hot cache with `SnapshotStore` and synchronous compaction (the
+    /// store default) for uninterrupted repair.
     int HotSourceCapacity = 0;
     /// Live mode: serve hot states out of this *shared* cache instead of
     /// a private one, so several engines over the same store share warm
@@ -426,8 +425,7 @@ private:
 
 /// The two stores every serving feature is built and tested against. The
 /// engine template is explicitly instantiated for exactly these in
-/// QueryEngine.cpp; a custom store needs its own explicit instantiation
-/// (or the definitions pulled into a header).
+/// QueryEngine.cpp.
 extern template class BasicQueryEngine<SnapshotStore>;
 extern template class BasicQueryEngine<ShardedSnapshotStore>;
 

@@ -9,12 +9,13 @@
 
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <chrono>
-#include <unordered_map>
 #include <utility>
 
 using namespace graphit;
 using namespace graphit::service;
+using namespace graphit::service::detail;
 
 namespace {
 
@@ -23,6 +24,60 @@ namespace {
 /// point — is retried; read-side state mutates only after the fallible
 /// part succeeded, so a failed attempt changes nothing.
 constexpr int kPublishRetryLimit = 64;
+
+/// Bounded retries for a failed background fold or replay step (transient
+/// faults — allocation failure, injected fail points). A fault that
+/// outlasts them leaves the store degraded-but-serving.
+constexpr int kFoldRetryLimit = 3;
+
+/// Builds the next published view with \p Make, retrying transient
+/// failures; rethrows after kPublishRetryLimit retries.
+template <class MakeFn> auto retryPublish(const MakeFn &Make) {
+  for (int Attempt = 0;; ++Attempt) {
+    try {
+      GRAPHIT_FAIL_POINT("snapshot.publish");
+      return Make();
+    } catch (const std::exception &) {
+      if (Attempt >= kPublishRetryLimit)
+        throw;
+    }
+  }
+}
+
+/// Runs one background fold or replay step until it returns without
+/// throwing, retrying at once at most kFoldRetryLimit times. Nothing
+/// escapes (an exception leaving a fold thread would std::terminate): a
+/// failed attempt's message lands in \p Err. Every attempt starts from
+/// scratch, so a half-done one never leaks. \returns whether one succeeded.
+template <class StepFn>
+bool retryBounded(const StepFn &Step, std::string &Err) {
+  for (int Attempt = 0; Attempt <= kFoldRetryLimit; ++Attempt) {
+    try {
+      Step();
+      return true;
+    } catch (const std::exception &E) {
+      Err = E.what();
+    } catch (...) {
+      Err = "unknown compaction error";
+    }
+  }
+  return false;
+}
+
+/// The deletes that detach \p V (internal id) in \p Owner, the overlay
+/// holding its rows: every out-edge, plus the in-edges on a directed graph
+/// that carries them (symmetric graphs detach both directions from the
+/// out-row alone). Materialized before any is applied, since the neighbor
+/// ranges point into the rows being deleted.
+std::vector<EdgeUpdate> incidentDeletes(const DeltaGraph &Owner, VertexId V) {
+  std::vector<EdgeUpdate> Deletes;
+  for (WNode E : Owner.outNeighbors(V))
+    Deletes.push_back(EdgeUpdate{V, E.V, 0, UpdateKind::Delete});
+  if (!Owner.isSymmetric() && Owner.hasInEdges())
+    for (WNode E : Owner.inNeighbors(V))
+      Deletes.push_back(EdgeUpdate{E.V, V, 0, UpdateKind::Delete});
+  return Deletes;
+}
 
 /// Describes the first malformed record of a strict-mode rejected batch.
 std::string describeRejected(const EdgeUpdate &U, size_t Index) {
@@ -33,7 +88,129 @@ std::string describeRejected(const EdgeUpdate &U, size_t Index) {
 
 } // namespace
 
-SnapshotStore::SnapshotStore(Graph Base, Options O) : Opts(O) {
+//===----------------------------------------------------------------------===//
+// StoreCore: what both stores share
+//===----------------------------------------------------------------------===//
+
+template <class ViewT>
+typename StoreCore<ViewT>::Snapshot StoreCore<ViewT>::current() const {
+  MutexLock Lock(ReadMu);
+  return Current;
+}
+
+template <class ViewT>
+std::pair<typename StoreCore<ViewT>::Snapshot, uint64_t>
+StoreCore<ViewT>::currentVersioned() const {
+  MutexLock Lock(ReadMu);
+  return {Current, Version};
+}
+
+template <class ViewT> uint64_t StoreCore<ViewT>::version() const {
+  MutexLock Lock(ReadMu);
+  return Version;
+}
+
+template <class ViewT> Count StoreCore<ViewT>::numNodes() const {
+  MutexLock Lock(ReadMu);
+  return Current->numNodes();
+}
+
+template <class ViewT> uint64_t StoreCore<ViewT>::compactions() const {
+  MutexLock Lock(ReadMu);
+  return Compactions;
+}
+
+template <class ViewT> bool StoreCore<ViewT>::degraded() const {
+  MutexLock Lock(ReadMu);
+  return Degraded;
+}
+
+template <class ViewT> std::string StoreCore<ViewT>::lastError() const {
+  MutexLock Lock(ReadMu);
+  return LastError;
+}
+
+template <class ViewT> Count StoreCore<ViewT>::freeVertexCount() const {
+  MutexLock Lock(ReadMu);
+  return Map.freeCount();
+}
+
+template <class ViewT>
+const std::vector<EdgeUpdate> &
+StoreCore<ViewT>::toInternal(const std::vector<EdgeUpdate> &Batch,
+                             std::vector<EdgeUpdate> &Translated) const {
+  // The snapshots, applied transitions, and any repaired distance states
+  // all live in internal (layout) ids.
+  if (Map.isIdentity())
+    return Batch;
+  Translated = Batch;
+  for (EdgeUpdate &U : Translated) {
+    U.Src = Map.toInternal(U.Src);
+    U.Dst = Map.toInternal(U.Dst);
+  }
+  return Translated;
+}
+
+template <class ViewT>
+bool StoreCore<ViewT>::rejectMalformed(const std::vector<EdgeUpdate> &Batch,
+                                       Count N, ApplyResult &R) const {
+  if (!Opts.StrictBatches)
+    return false;
+  for (size_t I = 0; I < Batch.size(); ++I) {
+    if (DeltaGraph::validUpdate(Batch[I], N))
+      continue;
+    R.Status = ApplyStatus::RejectedBatch;
+    R.Error = describeRejected(Batch[I], I);
+    MutexLock Lock(ReadMu);
+    R.Version = Version;
+    R.Snap = Current;
+    return true;
+  }
+  return false;
+}
+
+template <class ViewT>
+void StoreCore<ViewT>::takePendingError(ApplyResult &R) {
+  if (PendingError.empty())
+    return;
+  R.CompactionError = std::move(PendingError);
+  PendingError.clear();
+}
+
+template <class ViewT> void StoreCore<ViewT>::noteFoldOk(bool Recovered) {
+  ++Compactions;
+  if (Recovered) {
+    Degraded = false;
+    LastError.clear();
+  }
+}
+
+template <class ViewT>
+void StoreCore<ViewT>::noteFoldFailure(const std::string &Message) {
+  Degraded = true;
+  LastError = Message;
+  PendingError = Message;
+}
+
+template <class ViewT> bool StoreCore<ViewT>::takeFreed(VertexId &Out) {
+  MutexLock Lock(ReadMu);
+  return Map.takeFreed(Out);
+}
+
+namespace graphit {
+namespace service {
+namespace detail {
+template class StoreCore<DeltaGraph>;
+template class StoreCore<ShardedDeltaView>;
+} // namespace detail
+} // namespace service
+} // namespace graphit
+
+//===----------------------------------------------------------------------===//
+// SnapshotStore
+//===----------------------------------------------------------------------===//
+
+SnapshotStore::SnapshotStore(Graph Base, Options O) : StoreCore(O) {
   // Reorder-on-load before the base CSR is frozen (no-op move for None).
   Writer = DeltaGraph(std::make_shared<const Graph>(
       reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map)));
@@ -46,66 +223,16 @@ SnapshotStore::~SnapshotStore() {
     Compactor.join();
 }
 
-SnapshotStore::Snapshot SnapshotStore::current() const {
-  MutexLock Lock(ReadMu);
-  return Current;
-}
-
-std::pair<SnapshotStore::Snapshot, uint64_t>
-SnapshotStore::currentVersioned() const {
-  MutexLock Lock(ReadMu);
-  return {Current, Version};
-}
-
-uint64_t SnapshotStore::version() const {
-  MutexLock Lock(ReadMu);
-  return Version;
-}
-
-uint64_t SnapshotStore::compactions() const {
-  MutexLock Lock(ReadMu);
-  return Compactions;
-}
-
-Count SnapshotStore::numNodes() const {
-  MutexLock Lock(ReadMu);
-  return Current->numNodes();
-}
-
 void SnapshotStore::publish() {
   // Caller holds WriteMu (REQUIRES(WriteMu) on the declaration): Writer is
   // stable, so copying it into an immutable snapshot and swapping the
   // publish pointer is the entire read-side critical section.
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      GRAPHIT_FAIL_POINT("snapshot.publish");
-      auto Snap = std::make_shared<const DeltaGraph>(Writer);
-      MutexLock Lock(ReadMu);
-      Current = std::move(Snap);
-      ++Version;
-      return;
-    } catch (const std::exception &) {
-      if (Attempt >= kPublishRetryLimit)
-        throw;
-    }
-  }
-}
-
-void SnapshotStore::noteCompactionFailure(const std::string &Message) {
-  PendingError = Message; // WriteMu held by the caller
+  const DeltaGraph &Stable = Writer;
+  Snapshot Snap =
+      retryPublish([&] { return std::make_shared<const DeltaGraph>(Stable); });
   MutexLock Lock(ReadMu);
-  Degraded = true;
-  LastError = Message;
-}
-
-bool SnapshotStore::degraded() const {
-  MutexLock Lock(ReadMu);
-  return Degraded;
-}
-
-std::string SnapshotStore::lastError() const {
-  MutexLock Lock(ReadMu);
-  return LastError;
+  Current = std::move(Snap);
+  ++Version;
 }
 
 SnapshotStore::ApplyResult
@@ -115,51 +242,20 @@ SnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
 
   // Surface a background-compaction failure exactly once, on the first
   // writer call after it happened (the sticky form stays in lastError()).
-  if (!PendingError.empty()) {
-    R.CompactionError = std::move(PendingError);
-    PendingError.clear();
+  {
+    MutexLock Lock(ReadMu);
+    takePendingError(R);
   }
 
-  // Reordered stores translate the batch into internal (layout) ids; the
-  // snapshots, applied transitions, and any repaired distance states all
-  // live in that space. Out-of-range endpoints pass through untranslated —
-  // DeltaGraph::apply skips them like any other malformed write.
-  const std::vector<EdgeUpdate> *Apply = &Batch;
   std::vector<EdgeUpdate> Translated;
-  if (!Map.isIdentity()) {
-    Translated = Batch;
-    const Count N = Map.size();
-    for (EdgeUpdate &U : Translated) {
-      if (static_cast<Count>(U.Src) < N)
-        U.Src = Map.toInternal(U.Src);
-      if (static_cast<Count>(U.Dst) < N)
-        U.Dst = Map.toInternal(U.Dst);
-    }
-    Apply = &Translated;
-  }
+  const std::vector<EdgeUpdate> &Apply = toInternal(Batch, Translated);
+  if (rejectMalformed(Apply, Writer.numNodes(), R))
+    return R;
 
-  // Strict mode: a poisoned batch is all-or-nothing. Validation runs
-  // before any mutation, so a rejection leaves the writer untouched and
-  // publishes no version — the caller gets a typed error plus the
-  // unchanged current snapshot.
-  if (Opts.StrictBatches) {
-    const Count N = Writer.numNodes();
-    for (size_t I = 0; I < Apply->size(); ++I) {
-      if (!DeltaGraph::validUpdate((*Apply)[I], N)) {
-        R.Status = ApplyStatus::RejectedBatch;
-        R.Error = describeRejected((*Apply)[I], I);
-        MutexLock Lock(ReadMu);
-        R.Version = Version;
-        R.Snap = Current;
-        return R;
-      }
-    }
-  }
-
-  R.Applied = coalesceApplied(Writer.apply(*Apply));
+  R.Applied = coalesceApplied(Writer.apply(Apply));
 
   if (CompactionRunning)
-    Replay.push_back(ReplayOp{*Apply, 0, nullptr});
+    Replay.push_back(ReplayOp{Apply, 0, nullptr});
 
   // Compaction bookkeeping before publishing, so a synchronous compaction
   // is part of the same published version.
@@ -176,16 +272,14 @@ SnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
         GRAPHIT_FAIL_POINT("compaction.rebuild");
         Writer = DeltaGraph(std::make_shared<const Graph>(Writer.compact()));
         MutexLock Lock(ReadMu);
-        ++Compactions;
-        Degraded = false;
-        LastError.clear();
+        noteFoldOk(true);
       } catch (const std::exception &E) {
         // Failed fold: the un-compacted overlay keeps serving and the
         // next threshold trip retries. Surfaced on this very result (the
         // pending slot is cleared so it is not reported twice).
-        noteCompactionFailure(std::string("compaction failed: ") + E.what());
-        R.CompactionError = std::move(PendingError);
-        PendingError.clear();
+        MutexLock Lock(ReadMu);
+        noteFoldFailure(std::string("compaction failed: ") + E.what());
+        takePendingError(R);
       }
     } else {
       if (Compactor.joinable())
@@ -211,42 +305,18 @@ SnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
 }
 
 void SnapshotStore::compactorBody(Snapshot Pinned) {
-  // Nothing may escape this thread (an uncaught exception would
-  // std::terminate the process): every fallible step runs under a catch,
-  // and any terminal failure downgrades to "keep serving the
-  // pre-compaction state, surface the error on the next writer call".
-  using SteadyClock = std::chrono::steady_clock;
-  const bool HasWatchdog = Opts.CompactionWatchdogMillis > 0;
-  const SteadyClock::time_point Watchdog =
-      SteadyClock::now() +
-      std::chrono::milliseconds(HasWatchdog ? Opts.CompactionWatchdogMillis
-                                            : 0);
-  auto watchdogExpired = [&] {
-    return HasWatchdog && SteadyClock::now() >= Watchdog;
-  };
-
-  // Phase 1: the expensive O(V + E) rebuild, with no lock held. Bounded
-  // retries with exponential backoff absorb transient faults (allocation
-  // failure, injected fail points); the watchdog caps the total budget so
-  // a repeatedly failing fold can never wedge writers or shutdown.
+  // A terminal failure downgrades to "keep serving the pre-compaction
+  // state, surface the error on the next writer call".
+  //
+  // Phase 1: the expensive O(V + E) rebuild, with no lock held.
   std::string Err;
   std::shared_ptr<const Graph> NewBase;
-  int64_t BackoffMillis = std::max<int64_t>(Opts.CompactionBackoffMillis, 1);
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      GRAPHIT_FAIL_POINT("compaction.rebuild");
-      NewBase = std::make_shared<const Graph>(Pinned->compact());
-      break;
-    } catch (const std::exception &E) {
-      Err = E.what();
-    } catch (...) {
-      Err = "unknown compaction error";
-    }
-    if (Attempt >= Opts.CompactionRetryLimit || watchdogExpired())
-      break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMillis));
-    BackoffMillis *= 2;
-  }
+  retryBounded(
+      [&] {
+        GRAPHIT_FAIL_POINT("compaction.rebuild");
+        NewBase = std::make_shared<const Graph>(Pinned->compact());
+      },
+      Err);
   Pinned.reset();
 
   MutexLock WriterLock(WriteMu);
@@ -255,41 +325,31 @@ void SnapshotStore::compactorBody(Snapshot Pinned) {
   // deterministic, so the result equals the writer's current adjacency
   // with an (almost) empty overlay. Universe growth replays too —
   // otherwise a later batch referencing the new ids would be
-  // range-rejected. Each retry restarts from a fresh overlay over the
-  // rebuilt base, so a half-replayed attempt can never leak; no backoff
-  // here — WriteMu is held and sleeping would block writers.
-  bool Ok = false;
-  if (NewBase) {
-    for (int Attempt = 0; !Ok; ++Attempt) {
-      try {
-        DeltaGraph Rebuilt(NewBase);
-        for (const ReplayOp &Op : Replay) {
-          GRAPHIT_FAIL_POINT("compaction.replay");
-          if (Op.GrowTo > 0)
-            Rebuilt.growUniverse(Op.GrowTo, Op.TailCoords.get());
-          else
-            Rebuilt.apply(Op.Batch);
-        }
-        Writer = std::move(Rebuilt);
-        Ok = true;
-      } catch (const std::exception &E) {
-        Err = E.what();
-      } catch (...) {
-        Err = "unknown compaction error";
-      }
-      if (!Ok && (Attempt >= Opts.CompactionRetryLimit || watchdogExpired()))
-        break;
+  // range-rejected. Each attempt replays onto a fresh overlay over the
+  // rebuilt base.
+  const std::vector<ReplayOp> &Ops = Replay;
+  DeltaGraph Rebuilt;
+  auto ReplayOnto = [&] {
+    DeltaGraph Next(NewBase);
+    for (const ReplayOp &Op : Ops) {
+      GRAPHIT_FAIL_POINT("compaction.replay");
+      if (Op.GrowTo > 0)
+        Next.growUniverse(Op.GrowTo, Op.TailCoords.get());
+      else
+        Next.apply(Op.Batch);
     }
-  }
+    Rebuilt = std::move(Next);
+  };
+  const bool Ok = NewBase && retryBounded(ReplayOnto, Err);
+  if (Ok)
+    Writer = std::move(Rebuilt);
 
   Replay.clear();
   CompactionRunning = false;
   if (Ok) {
     {
       MutexLock Lock(ReadMu);
-      ++Compactions;
-      Degraded = false;
-      LastError.clear();
+      noteFoldOk(true);
     }
     try {
       publish();
@@ -301,8 +361,9 @@ void SnapshotStore::compactorBody(Snapshot Pinned) {
   } else {
     // Fallback: the pre-compaction writer (already holding every replayed
     // batch) stays authoritative and published — serving never stalls on
-    // the wedged fold. The failure is surfaced on the next writer call.
-    noteCompactionFailure("background compaction failed: " + Err);
+    // the failed fold. The failure is surfaced on the next writer call.
+    MutexLock Lock(ReadMu);
+    noteFoldFailure("background compaction failed: " + Err);
   }
   CompactionCv.notify_all();
 }
@@ -348,13 +409,11 @@ VertexId SnapshotStore::addVertices(Count HowMany,
 SnapshotStore::ApplyResult SnapshotStore::removeVertex(VertexId External) {
   MutexLock WriterLock(WriteMu);
   ApplyResult R;
-  if (!PendingError.empty()) {
-    R.CompactionError = std::move(PendingError);
-    PendingError.clear();
+  {
+    MutexLock Lock(ReadMu);
+    takePendingError(R);
   }
-  VertexId V = External;
-  if (!Map.isIdentity() && static_cast<Count>(V) < Map.size())
-    V = Map.toInternal(V);
+  const VertexId V = Map.toInternal(External);
   if (static_cast<Count>(V) >= Writer.numNodes()) {
     MutexLock Lock(ReadMu);
     R.Version = Version;
@@ -362,20 +421,11 @@ SnapshotStore::ApplyResult SnapshotStore::removeVertex(VertexId External) {
     return R;
   }
 
-  // Materialize the incident edges first (the neighbor ranges point into
-  // the rows being deleted), then push them through the normal batch path
-  // so the Applied transitions, replay recording, and publish are exactly
-  // what the equivalent delete batch would produce. Symmetric graphs
-  // detach both directions from the out-row alone; directed graphs with
-  // incoming adjacency also delete the in-edges. The id stays in the
+  // Push the incident deletes through the normal batch path, so the
+  // Applied transitions, replay recording, and publish are exactly what
+  // the equivalent delete batch would produce. The id stays in the
   // universe as an isolated vertex.
-  std::vector<EdgeUpdate> Deletes;
-  for (WNode E : Writer.outNeighbors(V))
-    Deletes.push_back(EdgeUpdate{V, E.V, 0, UpdateKind::Delete});
-  if (!Writer.isSymmetric() && Writer.hasInEdges())
-    for (WNode E : Writer.inNeighbors(V))
-      Deletes.push_back(EdgeUpdate{E.V, V, 0, UpdateKind::Delete});
-
+  std::vector<EdgeUpdate> Deletes = incidentDeletes(Writer, V);
   R.Applied = coalesceApplied(Writer.apply(Deletes));
   if (CompactionRunning)
     Replay.push_back(ReplayOp{std::move(Deletes), 0, nullptr});
@@ -388,18 +438,10 @@ SnapshotStore::ApplyResult SnapshotStore::removeVertex(VertexId External) {
 }
 
 VertexId SnapshotStore::acquireVertex(const Coordinates *OneCoord) {
-  {
-    MutexLock Lock(ReadMu);
-    VertexId Freed = 0;
-    if (Map.takeFreed(Freed))
-      return Freed; // already an isolated in-universe vertex; no publish
-  }
+  VertexId Freed = 0;
+  if (takeFreed(Freed))
+    return Freed; // already an isolated in-universe vertex; no publish
   return addVertices(1, OneCoord);
-}
-
-Count SnapshotStore::freeVertexCount() const {
-  MutexLock Lock(ReadMu);
-  return Map.freeCount();
 }
 
 //===----------------------------------------------------------------------===//
@@ -407,17 +449,16 @@ Count SnapshotStore::freeVertexCount() const {
 //===----------------------------------------------------------------------===//
 
 ShardedSnapshotStore::ShardedSnapshotStore(Graph Base, Options O)
-    : Opts(O) {
-  this->Opts.NumShards = std::max(1, Opts.NumShards);
+    : StoreCore(O) {
+  const int NumShards = std::max(1, O.NumShards);
   auto BasePtr = std::make_shared<const Graph>(
       reorderLoadedGraph(std::move(Base), Opts.Reorder, &Map));
-  Shift =
-      ShardedDeltaView::shiftFor(BasePtr->numNodes(), this->Opts.NumShards);
+  Shift = ShardedDeltaView::shiftFor(BasePtr->numNodes(), NumShards);
   Symmetric = BasePtr->isSymmetric();
   MirrorsIn = !Symmetric && BasePtr->hasInEdges();
-  Shards.reserve(static_cast<size_t>(this->Opts.NumShards));
+  Shards.reserve(static_cast<size_t>(NumShards));
   std::vector<std::shared_ptr<const DeltaGraph>> Snaps;
-  for (int S = 0; S < this->Opts.NumShards; ++S) {
+  for (int S = 0; S < NumShards; ++S) {
     auto Sh = std::make_unique<Shard>();
     Sh->Writer = DeltaGraph(BasePtr);
     Snaps.push_back(std::make_shared<const DeltaGraph>(Sh->Writer));
@@ -426,7 +467,7 @@ ShardedSnapshotStore::ShardedSnapshotStore(Graph Base, Options O)
   ShardVersions.assign(Shards.size(), 0);
   auto View = std::make_shared<ShardedDeltaView>(std::move(Snaps), Shift);
   View->setVersions(0, ShardVersions);
-  Cur = std::move(View);
+  Current = std::move(View);
 }
 
 ShardedSnapshotStore::~ShardedSnapshotStore() {
@@ -472,32 +513,6 @@ uint64_t ShardedSnapshotStore::reclaimedTombstones() const {
   return Total;
 }
 
-ShardedSnapshotStore::Snapshot ShardedSnapshotStore::current() const {
-  MutexLock Lock(ReadMu);
-  return Cur;
-}
-
-std::pair<ShardedSnapshotStore::Snapshot, uint64_t>
-ShardedSnapshotStore::currentVersioned() const {
-  MutexLock Lock(ReadMu);
-  return {Cur, Version};
-}
-
-uint64_t ShardedSnapshotStore::version() const {
-  MutexLock Lock(ReadMu);
-  return Version;
-}
-
-Count ShardedSnapshotStore::numNodes() const {
-  MutexLock Lock(ReadMu);
-  return Cur->numNodes();
-}
-
-uint64_t ShardedSnapshotStore::compactions() const {
-  MutexLock Lock(ReadMu);
-  return Compactions;
-}
-
 std::vector<Mutex *>
 ShardedSnapshotStore::shardMutexes(const std::vector<int> &ShardIds) {
   std::vector<Mutex *> Mus;
@@ -513,84 +528,43 @@ int ShardedSnapshotStore::shardOf(VertexId V) const {
       std::min<Count>(S, static_cast<Count>(Shards.size()) - 1));
 }
 
-bool ShardedSnapshotStore::degraded() const {
-  MutexLock Lock(ReadMu);
-  return Degraded;
-}
-
-std::string ShardedSnapshotStore::lastError() const {
-  MutexLock Lock(ReadMu);
-  return LastError;
-}
-
 ShardedSnapshotStore::ApplyResult
 ShardedSnapshotStore::publishLocked(const std::vector<int> &Touched,
-                                    std::vector<AppliedUpdate> Applied,
-                                    bool CompactionTriggered) {
+                                    std::vector<AppliedUpdate> Applied) {
   // Caller holds the writer mutex of every shard in Touched, so copying
   // those writers into immutable snapshots here is race-free; untouched
   // shards keep the pointers of the previous composite (read under ReadMu,
   // which also makes the version vector update atomic with the swap).
   ApplyResult R;
   R.Applied = std::move(Applied);
-  R.CompactionTriggered = CompactionTriggered;
   MutexLock Lock(ReadMu);
-  if (!PendingError.empty()) {
-    R.CompactionError = std::move(PendingError);
-    PendingError.clear();
-  }
+  takePendingError(R);
   // Publication is all-or-nothing: every fallible step (the snapshot
-  // copies and the composite view — plus the snapshot.publish fail point)
-  // runs before any version state mutates, with bounded retries, so a
-  // failed attempt leaves the versions and the composite untouched.
-  std::shared_ptr<ShardedDeltaView> View;
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      GRAPHIT_FAIL_POINT("snapshot.publish");
-      std::vector<std::shared_ptr<const DeltaGraph>> Snaps = Cur->shards();
-      for (int S : Touched)
-        Snaps[static_cast<size_t>(S)] = std::make_shared<const DeltaGraph>(
-            Shards[static_cast<size_t>(S)]->Writer);
-      View = std::make_shared<ShardedDeltaView>(std::move(Snaps), Shift);
-      break;
-    } catch (const std::exception &) {
-      if (Attempt >= kPublishRetryLimit)
-        throw;
-    }
-  }
+  // copies and the composite view) runs before any version state mutates,
+  // so a failed attempt leaves the versions and the composite untouched.
+  const std::vector<std::shared_ptr<const DeltaGraph>> &Prev =
+      Current->shards();
+  std::shared_ptr<ShardedDeltaView> View = retryPublish([&] {
+    std::vector<std::shared_ptr<const DeltaGraph>> Snaps = Prev;
+    for (int S : Touched)
+      Snaps[static_cast<size_t>(S)] = std::make_shared<const DeltaGraph>(
+          Shards[static_cast<size_t>(S)]->Writer);
+    return std::make_shared<ShardedDeltaView>(std::move(Snaps), Shift);
+  });
   for (int S : Touched)
     ++ShardVersions[static_cast<size_t>(S)];
   ++Version;
   View->setVersions(Version, ShardVersions);
-  Cur = std::move(View);
+  Current = std::move(View);
   R.Version = Version;
-  R.Snap = Cur;
-  // Only the caller that flips the pending flag runs the compaction; a
-  // trigger firing while one is pending has already been absorbed.
-  R.CompactionTriggered = CompactionTriggered && !CompactionPending;
-  if (R.CompactionTriggered)
-    CompactionPending = true;
+  R.Snap = Current;
   return R;
 }
 
 ShardedSnapshotStore::ApplyResult
 ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
-  // Reordered stores translate into internal ids, exactly like the
-  // unsharded store (out-of-range endpoints pass through untranslated and
-  // are skipped by the validity test below).
-  const std::vector<EdgeUpdate> *Apply = &Batch;
   std::vector<EdgeUpdate> Translated;
-  if (!Map.isIdentity()) {
-    Translated = Batch;
-    const Count N = Map.size();
-    for (EdgeUpdate &U : Translated) {
-      if (static_cast<Count>(U.Src) < N)
-        U.Src = Map.toInternal(U.Src);
-      if (static_cast<Count>(U.Dst) < N)
-        U.Dst = Map.toInternal(U.Dst);
-    }
-    Apply = &Translated;
-  }
+  const std::vector<EdgeUpdate> &Apply = toInternal(Batch, Translated);
 
   // Involved shards: shard(src) always (out-adjacency); shard(dst) when a
   // mirror or symmetric reverse edge will land there. Computed without any
@@ -598,8 +572,8 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   // read once a shard lock pins it.
   const bool NeedDst = Symmetric || MirrorsIn;
   std::vector<int> Touched;
-  Touched.reserve(Apply->size() * (NeedDst ? 2 : 1));
-  for (const EdgeUpdate &U : *Apply) {
+  Touched.reserve(Apply.size() * (NeedDst ? 2 : 1));
+  for (const EdgeUpdate &U : Apply) {
     Touched.push_back(shardOf(U.Src));
     if (NeedDst)
       Touched.push_back(shardOf(U.Dst));
@@ -613,28 +587,19 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   // DynamicLockSet release everything taken and retry the whole set.
   DynamicLockSet ShardLocks(shardMutexes(Touched), "shard.lock");
 
-  // Strict mode: validate the whole batch against the pinned universe
-  // size before mutating any shard, so a poisoned batch rejects
-  // atomically — bit-compatible with the unsharded store (same batches
-  // rejected, no version published).
-  if (Opts.StrictBatches && !Touched.empty()) {
-    const Count N =
-        Shards[static_cast<size_t>(Touched.front())]->Writer.numNodes();
-    for (size_t I = 0; I < Apply->size(); ++I) {
-      if (!DeltaGraph::validUpdate((*Apply)[I], N)) {
-        ApplyResult R;
-        R.Status = ApplyStatus::RejectedBatch;
-        R.Error = describeRejected((*Apply)[I], I);
-        {
-          MutexLock Lock(ReadMu);
-          R.Version = Version;
-          R.Snap = Cur;
-        }
-        return R; // ShardLocks releases on scope exit
+  // Any held shard lock pins the universe size (growth takes them all);
+  // an empty batch locks nothing and applies nothing.
+  const Count N = Touched.empty()
+                      ? 0
+                      : Shards[static_cast<size_t>(Touched.front())]
+                            ->Writer.numNodes();
 
-      }
-    }
-  }
+  // Strict mode validates the whole batch before mutating any shard, so a
+  // poisoned batch rejects atomically — bit-compatible with the unsharded
+  // store (same batches rejected, no version published).
+  ApplyResult Rejected;
+  if (rejectMalformed(Apply, N, Rejected))
+    return Rejected; // ShardLocks releases on scope exit
 
   // Shards whose overlay actually changed: the version-vector contract is
   // "bump exactly when that shard changed", so a locked shard that only
@@ -642,64 +607,48 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   // writes) is neither re-snapshotted nor bumped.
   std::vector<int> Dirty;
   std::vector<AppliedUpdate> Applied;
-  bool LegacyTrigger = false;
-  std::vector<int> TriggeredShards;
-  if (!Touched.empty()) {
-    const Count N =
-        Shards[static_cast<size_t>(Touched.front())]->Writer.numNodes();
-    Applied.reserve(Apply->size() * (Symmetric ? 2 : 1));
-    for (const EdgeUpdate &U : *Apply) {
-      if (!DeltaGraph::validUpdate(U, N))
-        continue; // malformed write: skip, don't take the store down
+  Applied.reserve(Apply.size() * (Symmetric ? 2 : 1));
+  for (const EdgeUpdate &U : Apply) {
+    if (DeltaGraph::validUpdate(U, N)) // malformed write: skip it
       applyRowLocked(U, Applied, Dirty);
-    }
-    std::sort(Dirty.begin(), Dirty.end());
-    Dirty.erase(std::unique(Dirty.begin(), Dirty.end()), Dirty.end());
-    // Per-shard compaction triggers, measured against the shard's slice
-    // of the shared base. In incremental mode each tripped shard is
-    // absorbed into at most one queued fold (FoldScheduled); the legacy
-    // mode keeps the one-global-fold absorption in publishLocked.
+  }
+  std::sort(Dirty.begin(), Dirty.end());
+  Dirty.erase(std::unique(Dirty.begin(), Dirty.end()), Dirty.end());
+
+  // Per-shard compaction triggers, measured against the shard's slice of
+  // the shared base; each tripped shard is absorbed into at most one
+  // queued fold (FoldScheduled).
+  std::vector<int> TriggeredShards;
+  for (int S : Dirty) {
+    Shard &Sh = *Shards[static_cast<size_t>(S)];
+    const Count Overlay = Sh.Writer.overlayEdges();
     const Count BaseSlice =
-        Shards[static_cast<size_t>(Touched.front())]->Writer.base().numEdges() /
-        static_cast<Count>(Shards.size());
-    for (int S : Dirty) {
-      Shard &Sh = *Shards[static_cast<size_t>(S)];
-      const Count Overlay = Sh.Writer.overlayEdges();
-      if (Overlay >= Opts.MinOverlayEdges &&
-          static_cast<double>(Overlay) >
-              Opts.CompactionThreshold * static_cast<double>(BaseSlice)) {
-        if (Opts.LegacyGlobalRebuild) {
-          LegacyTrigger = true;
-        } else if (!Sh.FoldScheduled && !Sh.Compacting) {
-          Sh.FoldScheduled = true;
-          TriggeredShards.push_back(S);
-        }
-      }
+        Sh.Writer.base().numEdges() / static_cast<Count>(Shards.size());
+    if (Overlay >= Opts.MinOverlayEdges &&
+        static_cast<double>(Overlay) >
+            Opts.CompactionThreshold * static_cast<double>(BaseSlice) &&
+        !Sh.FoldScheduled && !Sh.Compacting) {
+      Sh.FoldScheduled = true;
+      TriggeredShards.push_back(S);
     }
   }
 
-  ApplyResult R =
-      publishLocked(Dirty, coalesceApplied(Applied), LegacyTrigger);
+  ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied));
 
   ShardLocks.release();
 
-  if (Opts.LegacyGlobalRebuild) {
-    if (R.CompactionTriggered)
-      compactAllGlobal();
-  } else {
-    // Incremental per-shard folds, each under exactly one shard lock.
-    // Synchronous folds publish their own (later) version; background
-    // folds publish when the fold thread finishes — either way this
-    // batch's snapshot is the pre-fold one, as with the unsharded
-    // store's background compaction.
-    for (int S : TriggeredShards) {
-      if (Opts.BackgroundCompaction)
-        foldShardAsync(S);
-      else
-        compactShard(S);
-    }
-    R.CompactionTriggered = !TriggeredShards.empty();
+  // Incremental per-shard folds, each under exactly one shard lock.
+  // Synchronous folds publish their own (later) version; background
+  // folds publish when the fold thread finishes — either way this
+  // batch's snapshot is the pre-fold one, as with the unsharded
+  // store's background compaction.
+  for (int S : TriggeredShards) {
+    if (Opts.BackgroundCompaction)
+      foldShardAsync(S);
+    else
+      compactShard(S);
   }
+  R.CompactionTriggered = !TriggeredShards.empty();
   return R;
 }
 
@@ -764,7 +713,7 @@ VertexId ShardedSnapshotStore::addVertices(Count HowMany,
         S->Replay.push_back(
             ShardOp{ShardOp::Kind::Grow, EdgeUpdate{}, GrowTo, Tail});
     }
-    publishLocked(All, {}, false);
+    publishLocked(All, {});
   }
   return First;
 }
@@ -784,35 +733,21 @@ std::pair<Count, Count> ShardedSnapshotStore::shardRangeFor(int S,
 
 void ShardedSnapshotStore::noteShardFoldOk(Shard &Sh) {
   ++Sh.Folds;
-  int Delta = 0;
-  if (Sh.Degraded) {
-    Sh.Degraded = false;
-    Delta = 1;
-  }
+  const bool WasDegraded = Sh.Degraded;
+  Sh.Degraded = false;
   MutexLock Lock(ReadMu);
-  ++Compactions;
-  DegradedShards -= Delta;
-  if (DegradedShards <= 0) {
-    DegradedShards = 0;
-    Degraded = false;
-    LastError.clear();
-  }
+  DegradedShards -= WasDegraded ? 1 : 0;
+  noteFoldOk(DegradedShards == 0);
 }
 
 void ShardedSnapshotStore::noteShardFoldFailure(Shard &Sh, int S,
                                                 const std::string &Why) {
-  const std::string Message =
-      "shard " + std::to_string(S) + " compaction failed: " + Why;
-  int Delta = 0;
-  if (!Sh.Degraded) {
-    Sh.Degraded = true;
-    Delta = 1;
-  }
+  const bool WasDegraded = Sh.Degraded;
+  Sh.Degraded = true;
   MutexLock Lock(ReadMu);
-  DegradedShards += Delta;
-  Degraded = true;
-  LastError = Message;
-  PendingError = Message;
+  DegradedShards += WasDegraded ? 0 : 1;
+  noteFoldFailure("shard " + std::to_string(S) + " compaction failed: " +
+                  Why);
 }
 
 void ShardedSnapshotStore::compactShard(int S) {
@@ -835,7 +770,7 @@ void ShardedSnapshotStore::compactShard(int S) {
   }
   noteShardFoldOk(Sh);
   try {
-    publishLocked({S}, {}, false);
+    publishLocked({S}, {});
   } catch (...) {
     // Terminal publish failure: the folded writer is intact; the next
     // publish touching this shard carries it — readers just keep the
@@ -871,67 +806,51 @@ void ShardedSnapshotStore::foldShardAsync(int S) {
 
 void ShardedSnapshotStore::foldShardBody(
     int S, std::shared_ptr<const DeltaGraph> Pinned) {
-  // Nothing may escape this thread (an uncaught exception would
-  // std::terminate). Phase 1 folds the pinned copy's range into a segment
-  // with *no lock held*; phase 2 re-acquires only this shard's Mu, adopts
-  // the segment onto a copy of the pinned state, replays the row ops
-  // recorded meanwhile, and atomically swaps the result in. A terminal
-  // failure degrades this shard only — every other shard keeps serving
-  // and folding.
+  // Phase 1 folds the pinned copy's range into a segment with *no lock
+  // held*; phase 2 re-acquires only this shard's Mu, adopts the segment
+  // onto a copy of the pinned state, replays the row ops recorded
+  // meanwhile, and atomically swaps the result in. A terminal failure
+  // degrades this shard only — every other shard keeps serving and
+  // folding.
   Shard &Sh = *Shards[static_cast<size_t>(S)];
   const std::pair<Count, Count> Range = shardRangeFor(S, Pinned->numNodes());
 
   std::string Err;
   std::shared_ptr<const BaseSegment> Seg;
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      GRAPHIT_FAIL_POINT("compaction.rebuild");
-      Seg = Pinned->foldRange(Range.first, Range.second);
-      break;
-    } catch (const std::exception &E) {
-      Err = E.what();
-    } catch (...) {
-      Err = "unknown compaction error";
-    }
-    if (Attempt >= Opts.CompactionRetryLimit)
-      break;
-  }
+  retryBounded(
+      [&] {
+        GRAPHIT_FAIL_POINT("compaction.rebuild");
+        Seg = Pinned->foldRange(Range.first, Range.second);
+      },
+      Err);
 
   MutexLock Lock(Sh.Mu);
-  bool Ok = false;
-  if (Seg) {
-    // Copy-adopt-replay-swap: each retry restarts from a fresh copy of
-    // the pinned state, so a half-replayed attempt can never leak into
-    // the serving writer.
-    for (int Attempt = 0; !Ok; ++Attempt) {
-      try {
-        DeltaGraph Folded(*Pinned);
-        Folded.adoptSegment(Seg);
-        for (const ShardOp &Op : Sh.Replay) {
-          GRAPHIT_FAIL_POINT("compaction.replay");
-          switch (Op.Op) {
-          case ShardOp::Kind::Out:
-            Folded.applyShardOut(Op.U.Src, Op.U.Dst, Op.U.W, Op.U.Kind);
-            break;
-          case ShardOp::Kind::InMirror:
-            Folded.applyShardInMirror(Op.U.Src, Op.U.Dst, Op.U.W, Op.U.Kind);
-            break;
-          case ShardOp::Kind::Grow:
-            Folded.growUniverse(Op.GrowTo, Op.TailCoords.get());
-            break;
-          }
-        }
-        Sh.Writer = std::move(Folded);
-        Ok = true;
-      } catch (const std::exception &E) {
-        Err = E.what();
-      } catch (...) {
-        Err = "unknown compaction error";
-      }
-      if (!Ok && Attempt >= Opts.CompactionRetryLimit)
+  // Copy-adopt-replay-swap: each attempt restarts from a fresh copy of
+  // the pinned state, so a half-replayed attempt can never leak into the
+  // serving writer.
+  DeltaGraph Folded;
+  auto ReplayOnto = [&] {
+    DeltaGraph Next(*Pinned);
+    Next.adoptSegment(Seg);
+    for (const ShardOp &Op : Sh.Replay) {
+      GRAPHIT_FAIL_POINT("compaction.replay");
+      switch (Op.Op) {
+      case ShardOp::Kind::Out:
+        Next.applyShardOut(Op.U.Src, Op.U.Dst, Op.U.W, Op.U.Kind);
         break;
+      case ShardOp::Kind::InMirror:
+        Next.applyShardInMirror(Op.U.Src, Op.U.Dst, Op.U.W, Op.U.Kind);
+        break;
+      case ShardOp::Kind::Grow:
+        Next.growUniverse(Op.GrowTo, Op.TailCoords.get());
+        break;
+      }
     }
-  }
+    Folded = std::move(Next);
+  };
+  const bool Ok = Seg && retryBounded(ReplayOnto, Err);
+  if (Ok)
+    Sh.Writer = std::move(Folded);
   Pinned.reset();
   Sh.Replay.clear();
   Sh.Compacting = false;
@@ -939,7 +858,7 @@ void ShardedSnapshotStore::foldShardBody(
   if (Ok) {
     noteShardFoldOk(Sh);
     try {
-      publishLocked({S}, {}, false);
+      publishLocked({S}, {});
     } catch (...) {
       // As in compactShard: the folded writer is intact either way.
     }
@@ -949,58 +868,9 @@ void ShardedSnapshotStore::foldShardBody(
   Sh.FoldCv.notify_all();
 }
 
-void ShardedSnapshotStore::compactAllGlobal() {
-  // Legacy store-wide rebuild (Options::LegacyGlobalRebuild): one global
-  // compaction at a time; a trigger that fires while another compaction
-  // is pending was already absorbed by the CompactionPending flag in
-  // publishLocked.
-  MutexLock CompactGuard(CompactMu);
-  std::vector<int> All(Shards.size());
-  for (size_t I = 0; I < Shards.size(); ++I)
-    All[I] = static_cast<int>(I);
-  DynamicLockSet ShardLocks(shardMutexes(All), "shard.lock");
-
-  // Fold every shard's overlay into a fresh shared base. The expensive
-  // O(V + E) rebuild runs under the shard locks — the sharded store
-  // trades the unsharded store's background-compaction machinery for
-  // per-shard write concurrency the rest of the time. A failed fold
-  // (transient allocation fault, injected fail point) downgrades to
-  // "keep serving the overlays": the writers are only replaced after the
-  // rebuild fully succeeded, the next trigger retries, and the error is
-  // surfaced on the next apply.
-  try {
-    GRAPHIT_FAIL_POINT("compaction.rebuild");
-    std::vector<std::shared_ptr<const DeltaGraph>> Raw;
-    Raw.reserve(Shards.size());
-    for (auto &S : Shards)
-      Raw.push_back(std::make_shared<const DeltaGraph>(S->Writer));
-    ShardedDeltaView Whole(std::move(Raw), Shift);
-    auto NewBase = std::make_shared<const Graph>(Whole.compact());
-    for (auto &S : Shards)
-      S->Writer = DeltaGraph(NewBase);
-
-    {
-      MutexLock Lock(ReadMu);
-      ++Compactions;
-      CompactionPending = false;
-      Degraded = false;
-      LastError.clear();
-    }
-    publishLocked(All, {}, false);
-  } catch (const std::exception &E) {
-    MutexLock Lock(ReadMu);
-    CompactionPending = false; // a later trigger may retry
-    Degraded = true;
-    LastError = std::string("compaction failed: ") + E.what();
-    PendingError = LastError;
-  }
-}
-
 ShardedSnapshotStore::ApplyResult
 ShardedSnapshotStore::removeVertex(VertexId External) {
-  VertexId V = External;
-  if (!Map.isIdentity() && static_cast<Count>(V) < Map.size())
-    V = Map.toInternal(V);
+  const VertexId V = Map.toInternal(External);
 
   // Detaching reaches into the shard of every neighbor, so removal takes
   // all shard locks — the rare heavyweight write, like addVertices. (The
@@ -1010,33 +880,25 @@ ShardedSnapshotStore::removeVertex(VertexId External) {
     All[I] = static_cast<int>(I);
   DynamicLockSet ShardLocks(shardMutexes(All), "shard.lock");
 
-  const Count N = Shards.front()->Writer.numNodes();
-  if (static_cast<Count>(V) >= N) {
+  if (static_cast<Count>(V) >= Shards.front()->Writer.numNodes()) {
     ApplyResult R;
     MutexLock Lock(ReadMu);
     R.Version = Version;
-    R.Snap = Cur;
+    R.Snap = Current;
     return R; // out-of-range id: no-op, nothing published
   }
-
-  DeltaGraph &Owner = Shards[static_cast<size_t>(shardOf(V))]->Writer;
-  std::vector<EdgeUpdate> Deletes;
-  for (WNode E : Owner.outNeighbors(V))
-    Deletes.push_back(EdgeUpdate{V, E.V, 0, UpdateKind::Delete});
-  if (MirrorsIn)
-    for (WNode E : Owner.inNeighbors(V))
-      Deletes.push_back(EdgeUpdate{E.V, V, 0, UpdateKind::Delete});
 
   // Same per-row machinery as the batch path: bit-compatible Applied
   // coalescing, replay recording for any shard whose fold is in flight.
   std::vector<int> Dirty;
   std::vector<AppliedUpdate> Applied;
-  for (const EdgeUpdate &U : Deletes)
+  for (const EdgeUpdate &U :
+       incidentDeletes(Shards[static_cast<size_t>(shardOf(V))]->Writer, V))
     applyRowLocked(U, Applied, Dirty);
   std::sort(Dirty.begin(), Dirty.end());
   Dirty.erase(std::unique(Dirty.begin(), Dirty.end()), Dirty.end());
 
-  ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied), false);
+  ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied));
   ShardLocks.release();
   MutexLock Lock(ReadMu);
   Map.recordFreed(External);
@@ -1044,16 +906,8 @@ ShardedSnapshotStore::removeVertex(VertexId External) {
 }
 
 VertexId ShardedSnapshotStore::acquireVertex(const Coordinates *OneCoord) {
-  {
-    MutexLock Lock(ReadMu);
-    VertexId Freed = 0;
-    if (Map.takeFreed(Freed))
-      return Freed; // already an isolated in-universe vertex; no publish
-  }
+  VertexId Freed = 0;
+  if (takeFreed(Freed))
+    return Freed; // already an isolated in-universe vertex; no publish
   return addVertices(1, OneCoord);
-}
-
-Count ShardedSnapshotStore::freeVertexCount() const {
-  MutexLock Lock(ReadMu);
-  return Map.freeCount();
 }

@@ -21,10 +21,11 @@
 ///    copies.
 ///  * Once the overlay exceeds `CompactionThreshold × base edges`, it is
 ///    compacted into a fresh base CSR — synchronously by default, or on a
-///    background thread (`Options::BackgroundCompaction`) that rebuilds
-///    from a pinned snapshot while the writer keeps accepting batches;
-///    the intervening batches are replayed onto the new base before it is
-///    published. Old versions stay alive until their last reader unpins.
+///    background thread (`StoreOptions::BackgroundCompaction`) that
+///    rebuilds from a pinned snapshot while the writer keeps accepting
+///    batches; the intervening batches are replayed onto the new base
+///    before it is published. Old versions stay alive until their last
+///    reader unpins.
 ///
 /// The vertex universe *grows*: `addVertices` appends fresh ids at the
 /// tail (DeltaGraph's appendable tail region) and publishes the grown
@@ -40,6 +41,13 @@
 /// so a fold costs O(shard) under one shard lock, not O(V + E) under all.
 /// Readers pin one `ShardedDeltaView` — a consistent cross-shard version
 /// vector — and run the templated engines directly over it.
+///
+/// Both stores present one surface: they derive from
+/// `detail::StoreCore`, which holds their shared options (`StoreOptions`),
+/// the apply result, the published pointer with its version, the health
+/// state and the vertex mapping. They differ only in storage layout and
+/// fold mechanics. `BasicQueryEngine` (service/QueryEngine.h) is
+/// explicitly instantiated for exactly these two stores.
 ///
 /// Operator documentation (compaction failure semantics, option tables
 /// for both stores) lives in docs/serving.md; the tables are kept in
@@ -75,56 +83,56 @@ enum class ApplyStatus : uint8_t {
   RejectedBatch,
 };
 
-/// Versioned publisher of `DeltaGraph` snapshots over one base graph.
-class SnapshotStore {
+/// Settings both stores share. `SnapshotStore::Options` is this struct;
+/// `ShardedSnapshotStore::Options` adds only `NumShards`.
+struct StoreOptions {
+  StoreOptions() {} // usable as a `{}` default argument under GCC 12
+  /// Compact once overlayEdges() exceeds this fraction of the base
+  /// graph's edges (a sharded store measures each shard against its
+  /// slice of them) ...
+  double CompactionThreshold = 0.10;
+  /// ... and at least this many edges (tiny graphs aren't worth it).
+  Count MinOverlayEdges = 1 << 12;
+  /// Compact on a background thread (pin, fold, replay the writes that
+  /// landed meanwhile) instead of inside the triggering applyUpdates.
+  bool BackgroundCompaction = false;
+  /// Cache-conscious layout: permute the base graph on construction
+  /// (graph/Reorder.h) and serve the permuted CSR internally. Callers
+  /// keep speaking original ids: update batches are translated on the
+  /// way in (`mapping()` translates results on the way out).
+  ReorderKind Reorder = ReorderKind::None;
+  /// All-or-nothing batches: reject a batch containing any malformed
+  /// update with a typed error (`ApplyStatus::RejectedBatch`) instead
+  /// of skipping the bad records and applying the rest.
+  bool StrictBatches = false;
+};
+
+namespace detail {
+
+/// The store surface both snapshot stores share, over the view type a
+/// store publishes (`DeltaGraph` or `ShardedDeltaView`): the options, the
+/// apply result, the published pointer and its version, the health state,
+/// the compaction count and the vertex mapping, with their getters. Each
+/// store keeps its own storage layout, writer locks and fold mechanics;
+/// the helpers they share live in SnapshotStore.cpp.
+template <class ViewT> class StoreCore {
 public:
   /// A pinned, immutable graph version. Holding it keeps the version (and
   /// its base CSR) alive regardless of later publishes or compactions.
-  using Snapshot = std::shared_ptr<const DeltaGraph>;
-
-  struct Options {
-    Options() {} // usable as a `{}` default argument under GCC 12
-    /// Compact once overlayEdges() exceeds this fraction of the base
-    /// graph's edges ...
-    double CompactionThreshold = 0.10;
-    /// ... and at least this many edges (tiny graphs aren't worth it).
-    Count MinOverlayEdges = 1 << 12;
-    /// Compact on a background thread instead of inside applyUpdates.
-    bool BackgroundCompaction = false;
-    /// Cache-conscious layout: permute the base graph on construction
-    /// (graph/Reorder.h) and serve the permuted CSR internally. Callers
-    /// keep speaking original ids: update batches are translated on the
-    /// way in (`mapping()` translates results on the way out).
-    ReorderKind Reorder = ReorderKind::None;
-    /// All-or-nothing batches: reject a batch containing any malformed
-    /// update with a typed error (`ApplyStatus::RejectedBatch`) instead
-    /// of skipping the bad records and applying the rest.
-    bool StrictBatches = false;
-    /// Bounded retries for a failed compaction rebuild or replay
-    /// (transient faults — allocation failure, injected fail points).
-    int CompactionRetryLimit = 3;
-    /// Backoff before the first background-rebuild retry, doubling per
-    /// retry.
-    int64_t CompactionBackoffMillis = 10;
-    /// Watchdog: total wall-clock budget for one background compaction,
-    /// retries and backoff included; 0 disables. On expiry the fold is
-    /// abandoned and the pre-compaction state keeps serving (degraded,
-    /// error surfaced on the next writer call) — a wedged fold can never
-    /// stall serving or shutdown indefinitely.
-    int64_t CompactionWatchdogMillis = 0;
-  };
+  using Snapshot = std::shared_ptr<const ViewT>;
 
   struct ApplyResult {
-    /// Batch-level outcome; everything below `Applied` is meaningful only
-    /// for Ok.
+    /// Batch-level outcome. A rejected batch carries `Error` and the
+    /// unchanged current `Version` and `Snap`; `Applied` and
+    /// `CompactionTriggered` are meaningful only for Ok.
     ApplyStatus Status = ApplyStatus::Ok;
     /// Human-readable description of the rejected record (strict mode).
     std::string Error;
-    /// Non-empty when a compaction failure is being surfaced: either the
-    /// failure of this call's synchronous compaction, or — exactly once —
-    /// a background-compaction failure that happened since the previous
-    /// writer call. The store keeps serving its un-compacted overlay
-    /// either way (see degraded()).
+    /// Non-empty when a compaction failure is being surfaced, exactly
+    /// once: a failure since the previous writer call, or on
+    /// `SnapshotStore` the failure of the synchronous compaction this
+    /// call ran. The store keeps serving its un-compacted overlay either
+    /// way (see degraded()).
     std::string CompactionError;
     /// Version published for this batch.
     uint64_t Version = 0;
@@ -133,20 +141,15 @@ public:
     /// `repairAfterUpdates`. Empty records (no net change) are dropped.
     /// In *internal* (layout) id space when the store reorders — the same
     /// space the snapshots and any pooled distance states live in;
-    /// translate through `mapping()` for display.
+    /// translate through `mapping()` for display. Byte-identical across
+    /// the two stores for the same batch.
     std::vector<AppliedUpdate> Applied;
     /// The published snapshot, pre-pinned for the caller.
     Snapshot Snap;
-    /// True if this batch tripped the compaction threshold (with
-    /// background compaction the rebuilt base publishes later).
+    /// True if this batch tripped a compaction trigger (a background or
+    /// per-shard fold publishes its own, later version).
     bool CompactionTriggered = false;
   };
-
-  explicit SnapshotStore(Graph Base, Options Opts = {});
-  ~SnapshotStore();
-
-  SnapshotStore(const SnapshotStore &) = delete;
-  SnapshotStore &operator=(const SnapshotStore &) = delete;
 
   /// The latest published version. Thread-safe, never blocks on writers
   /// beyond the publish pointer swap.
@@ -161,11 +164,92 @@ public:
   /// Monotonic version counter (0 = the seed base graph).
   uint64_t version() const;
 
+  /// Vertex universe of the latest published version. Thread-safe.
+  Count numNodes() const;
+
   /// External-to-internal vertex-id mapping (identity unless
-  /// `Options::Reorder` was set). Queries and update batches arrive in
-  /// external ids; snapshots, applied transitions, and distance states
+  /// `StoreOptions::Reorder` was set). Queries and update batches arrive
+  /// in external ids; snapshots, applied transitions, and distance states
   /// live in internal ids.
   const VertexMapping &mapping() const { return Map; }
+
+  /// Compactions performed so far (a sharded store counts shard folds).
+  uint64_t compactions() const;
+
+  /// Degraded-but-serving: the last compaction failed (after its bounded
+  /// retries) and its overlay has not been folded since. Queries keep
+  /// running over the un-compacted snapshots. Cleared by the next
+  /// successful compaction (a sharded store: once no shard is left
+  /// degraded).
+  bool degraded() const;
+
+  /// The last compaction failure message ("" when none). Sticky until the
+  /// store recovers; independent of the one-shot
+  /// ApplyResult::CompactionError surfacing.
+  std::string lastError() const;
+
+  /// Freed ids awaiting reuse (see the stores' removeVertex).
+  Count freeVertexCount() const;
+
+protected:
+  explicit StoreCore(StoreOptions O) : Opts(O) {}
+  ~StoreCore() = default;
+
+  /// \p Batch in internal ids: \p Batch itself unless the store reorders,
+  /// else a translated copy held in \p Translated. Out-of-range endpoints
+  /// pass through untranslated and are skipped (or rejected) later like
+  /// any other malformed write.
+  const std::vector<EdgeUpdate> &
+  toInternal(const std::vector<EdgeUpdate> &Batch,
+             std::vector<EdgeUpdate> &Translated) const;
+  /// Strict mode: when \p Batch holds an update that is malformed against
+  /// a universe of \p N vertices, marks \p R rejected, stamps it with the
+  /// unchanged current version, and returns true. Runs before any
+  /// mutation, so a rejection publishes nothing.
+  bool rejectMalformed(const std::vector<EdgeUpdate> &Batch, Count N,
+                       ApplyResult &R) const EXCLUDES(ReadMu);
+  /// Moves the one-shot compaction error (if any) into \p R.
+  void takePendingError(ApplyResult &R) REQUIRES(ReadMu);
+  /// Health bookkeeping. A successful fold counts one compaction and,
+  /// once nothing is left degraded (\p Recovered), clears the degraded
+  /// flag and the sticky error; a failed one marks the store degraded and
+  /// queues \p Message for the next writer call.
+  void noteFoldOk(bool Recovered) REQUIRES(ReadMu);
+  void noteFoldFailure(const std::string &Message) REQUIRES(ReadMu);
+  /// Pops a freed id into \p Out; false when none is waiting.
+  bool takeFreed(VertexId &Out) EXCLUDES(ReadMu);
+
+  /// Guards the publish pointer, version counter, health state, and the
+  /// mapping's freed-id list.
+  mutable Mutex ReadMu;
+  Snapshot Current GUARDED_BY(ReadMu);
+  uint64_t Version GUARDED_BY(ReadMu) = 0;
+  bool Degraded GUARDED_BY(ReadMu) = false;
+  std::string LastError GUARDED_BY(ReadMu);
+  /// One-shot surfacing on the next writer call.
+  std::string PendingError GUARDED_BY(ReadMu);
+  uint64_t Compactions GUARDED_BY(ReadMu) = 0;
+  /// Permutation tables immutable after construction (read lock-free by
+  /// the translate paths); only the freed-id list mutates, under ReadMu.
+  VertexMapping Map;
+  const StoreOptions Opts;
+};
+
+extern template class StoreCore<DeltaGraph>;
+extern template class StoreCore<ShardedDeltaView>;
+
+} // namespace detail
+
+/// Versioned publisher of `DeltaGraph` snapshots over one base graph.
+class SnapshotStore : public detail::StoreCore<DeltaGraph> {
+public:
+  using Options = StoreOptions;
+
+  explicit SnapshotStore(Graph Base, Options Opts = {});
+  ~SnapshotStore();
+
+  SnapshotStore(const SnapshotStore &) = delete;
+  SnapshotStore &operator=(const SnapshotStore &) = delete;
 
   /// Applies \p Batch and publishes the next version. Serialized across
   /// callers; concurrent readers keep their pinned versions.
@@ -202,14 +286,6 @@ public:
   /// coordinates (or route only PPSP/SSSP at it).
   ApplyResult removeVertex(VertexId External);
   VertexId acquireVertex(const Coordinates *OneCoord = nullptr);
-  /// Freed ids awaiting reuse.
-  Count freeVertexCount() const;
-
-  /// Vertex universe of the latest published version. Thread-safe.
-  Count numNodes() const;
-
-  /// Compactions performed so far.
-  uint64_t compactions() const;
 
   /// Blocks until no background compaction is in flight (its rebuilt base
   /// is published). No-op in synchronous mode.
@@ -219,17 +295,6 @@ public:
   /// \p TimeoutMillis.
   bool waitForCompactionFor(int64_t TimeoutMillis);
 
-  /// Degraded-but-serving: the last compaction failed (after retries /
-  /// watchdog) and its overlay has not been folded since. Queries keep
-  /// running over the un-compacted snapshots. Cleared by the next
-  /// successful compaction.
-  bool degraded() const;
-
-  /// The last compaction failure message ("" when none). Sticky until the
-  /// next successful compaction; independent of the one-shot
-  /// ApplyResult::CompactionError surfacing.
-  std::string lastError() const;
-
 private:
   /// Copies the writer overlay into an immutable snapshot and swaps the
   /// publish pointer (the entire read-side critical section). The
@@ -238,32 +303,14 @@ private:
   /// WriteMu.
   void publish() REQUIRES(WriteMu);
   void compactorBody(Snapshot Pinned) EXCLUDES(WriteMu);
-  /// Records a failed compaction: marks the store degraded, keeps the
-  /// sticky LastError, and queues the one-shot PendingError for the next
-  /// writer call.
-  void noteCompactionFailure(const std::string &Message) REQUIRES(WriteMu);
 
   /// Writers always nest the read lock inside the write lock (publish,
   /// failure notes); the analysis owns that ordering.
   Mutex WriteMu ACQUIRED_BEFORE(ReadMu);
-  /// Guards the publish pointer, version counter, and health flags.
-  mutable Mutex ReadMu;
-
-  Snapshot Current GUARDED_BY(ReadMu);
-  uint64_t Version GUARDED_BY(ReadMu) = 0;
-  bool Degraded GUARDED_BY(ReadMu) = false;
-  std::string LastError GUARDED_BY(ReadMu);
-  uint64_t Compactions GUARDED_BY(ReadMu) = 0;
-  /// Permutation tables immutable after construction (read lock-free by
-  /// the translate paths); only the freed-id list mutates, under ReadMu.
-  VertexMapping Map;
 
   std::condition_variable CompactionCv;
   DeltaGraph Writer GUARDED_BY(WriteMu);
-  Options Opts; ///< immutable after construction
   bool CompactionRunning GUARDED_BY(WriteMu) = false;
-  /// One-shot surfacing on the next writer call.
-  std::string PendingError GUARDED_BY(WriteMu);
   std::thread Compactor GUARDED_BY(WriteMu);
   /// One writer-side operation recorded while a background compaction
   /// runs, replayed onto the rebuilt base before it replaces the writer
@@ -300,61 +347,20 @@ private:
 /// serving its existing rows. The fold costs O(shard), holds exactly one
 /// shard writer lock (never more — asserted by the fault-isolation stress
 /// schedule), and can run on a background thread per shard
-/// (`Options::BackgroundCompaction`): the fold works off a pinned copy,
-/// batches accepted meanwhile are recorded in a shard-local replay log
-/// and re-applied onto the folded copy before it atomically replaces the
-/// writer. A failed fold degrades only that shard; the others keep
-/// folding. The legacy all-locks O(V + E) global rebuild survives behind
-/// `Options::LegacyGlobalRebuild` as the bench baseline. Batch-level
-/// semantics (applied-update coalescing, malformed-write skipping, vertex
-/// insertion) are bit-compatible with `SnapshotStore`; the stress harness
-/// differentially asserts it.
-class ShardedSnapshotStore {
+/// (`StoreOptions::BackgroundCompaction`): the fold works off a pinned
+/// copy, batches accepted meanwhile are recorded in a shard-local replay
+/// log and re-applied onto the folded copy before it atomically replaces
+/// the writer. A failed fold degrades only that shard; the others keep
+/// folding. Batch-level semantics (applied-update coalescing,
+/// malformed-write skipping, vertex insertion and removal) are
+/// bit-compatible with `SnapshotStore`; the stress harness differentially
+/// asserts it.
+class ShardedSnapshotStore : public detail::StoreCore<ShardedDeltaView> {
 public:
-  using Snapshot = std::shared_ptr<const ShardedDeltaView>;
-
-  struct Options {
+  struct Options : StoreOptions {
     Options() {} // usable as a `{}` default argument under GCC 12
     /// Vertex-range shards (writer concurrency). Clamped to >= 1.
     int NumShards = 8;
-    /// Per-shard compaction trigger, measured against the shard's slice
-    /// of the base edges (see SnapshotStore::Options).
-    double CompactionThreshold = 0.10;
-    Count MinOverlayEdges = 1 << 12;
-    /// Cache-conscious layout, as in SnapshotStore::Options.
-    ReorderKind Reorder = ReorderKind::None;
-    /// All-or-nothing batches, as in SnapshotStore::Options (semantics
-    /// are bit-compatible: same batches rejected, same versions
-    /// published).
-    bool StrictBatches = false;
-    /// Fold a tripped shard on its own background thread (pin + replay,
-    /// as in SnapshotStore) instead of inline in the triggering apply.
-    bool BackgroundCompaction = false;
-    /// Bounded retries for a failed shard fold or replay (transient
-    /// faults — allocation failure, injected fail points).
-    int CompactionRetryLimit = 3;
-    /// Compatibility/baseline mode: a tripped trigger schedules the old
-    /// store-wide rebuild (all shard locks, one O(V + E) fold) instead of
-    /// the per-shard incremental fold. Exists so benches can measure the
-    /// win; leave off in production.
-    bool LegacyGlobalRebuild = false;
-  };
-
-  struct ApplyResult {
-    /// Batch-level outcome (see SnapshotStore::ApplyResult).
-    ApplyStatus Status = ApplyStatus::Ok;
-    std::string Error;
-    /// One-shot surfacing of a global-compaction failure (the sharded
-    /// store compacts inline, so this reports the failure of a fold
-    /// triggered by this or an earlier batch; serving continues over the
-    /// un-compacted overlays either way).
-    std::string CompactionError;
-    uint64_t Version = 0;
-    /// Batch-coalesced directed transitions, byte-identical to what the
-    /// unsharded store returns for the same batch (internal id space).
-    std::vector<AppliedUpdate> Applied;
-    Snapshot Snap;
-    bool CompactionTriggered = false;
   };
 
   explicit ShardedSnapshotStore(Graph Base, Options Opts = {});
@@ -362,12 +368,6 @@ public:
 
   ShardedSnapshotStore(const ShardedSnapshotStore &) = delete;
   ShardedSnapshotStore &operator=(const ShardedSnapshotStore &) = delete;
-
-  Snapshot current() const;
-  std::pair<Snapshot, uint64_t> currentVersioned() const;
-  uint64_t version() const;
-  Count numNodes() const;
-  const VertexMapping &mapping() const { return Map; }
 
   /// Applies \p Batch and publishes the next version. Callers whose
   /// batches touch disjoint shard sets run concurrently.
@@ -385,19 +385,10 @@ public:
   /// *compaction*, which never detaches.
   ApplyResult removeVertex(VertexId External);
   VertexId acquireVertex(const Coordinates *OneCoord = nullptr);
-  Count freeVertexCount() const;
-
-  uint64_t compactions() const;
 
   /// Blocks until no background shard fold is in flight. No-op in
   /// synchronous mode.
   void waitForCompaction();
-
-  /// Degraded-but-serving / sticky failure message, as in SnapshotStore.
-  /// The store is degraded while *any* shard's last fold failed; each
-  /// shard clears its own flag at its next successful fold.
-  bool degraded() const;
-  std::string lastError() const;
 
   int numShards() const { return static_cast<int>(Shards.size()); }
   /// The shard owning vertex \p V (internal id space).
@@ -458,8 +449,8 @@ private:
   /// holds the Mu of every shard in \p Touched (sorted) via a
   /// DynamicLockSet; bumps their shard versions and the global version.
   ApplyResult publishLocked(const std::vector<int> &Touched,
-                            std::vector<AppliedUpdate> Applied,
-                            bool CompactionTriggered) EXCLUDES(ReadMu);
+                            std::vector<AppliedUpdate> Applied)
+      EXCLUDES(ReadMu);
   /// Applies one validated update's rows to the owning shard writers
   /// (out, in-mirror, symmetric reverse), collecting Applied transitions
   /// and dirty shard ids, and recording replay ops into any shard whose
@@ -483,34 +474,17 @@ private:
   void noteShardFoldOk(Shard &Sh) EXCLUDES(ReadMu);
   void noteShardFoldFailure(Shard &Sh, int S, const std::string &Why)
       EXCLUDES(ReadMu);
-  /// The old all-locks global rebuild, kept solely for
-  /// Options::LegacyGlobalRebuild.
-  void compactAllGlobal() EXCLUDES(ReadMu);
 
-  /// Guards the composite pointer, version vector, and health flags.
-  mutable Mutex ReadMu;
-  Snapshot Cur GUARDED_BY(ReadMu);
+  /// Per-shard versions of the published composite.
   std::vector<uint64_t> ShardVersions GUARDED_BY(ReadMu);
-  uint64_t Version GUARDED_BY(ReadMu) = 0;
-  bool Degraded GUARDED_BY(ReadMu) = false;
-  std::string LastError GUARDED_BY(ReadMu);
-  /// One-shot surfacing on the next apply.
-  std::string PendingError GUARDED_BY(ReadMu);
   /// Shards whose last fold failed (keeps `Degraded` exact without
   /// touching other shards' locks from a fold path).
   int DegradedShards GUARDED_BY(ReadMu) = 0;
-  /// Permutation tables immutable after construction; only the freed-id
-  /// list mutates, under ReadMu (as in SnapshotStore).
-  VertexMapping Map;
 
-  Options Opts;           ///< immutable after construction
   int Shift = 0;          ///< immutable after construction
   bool Symmetric = false; ///< immutable after construction
   bool MirrorsIn = false; ///< directed base carrying incoming adjacency
   std::vector<std::unique_ptr<Shard>> Shards;
-  Mutex CompactMu; ///< serializes legacy global compactions
-  bool CompactionPending GUARDED_BY(ReadMu) = false;
-  uint64_t Compactions GUARDED_BY(ReadMu) = 0;
 };
 
 } // namespace service

@@ -238,9 +238,6 @@ TEST(FailPoint, BackgroundCompactionRetriesThenFallsBack) {
   Opts.BackgroundCompaction = true;
   Opts.CompactionThreshold = 0.01;
   Opts.MinOverlayEdges = 8;
-  Opts.CompactionRetryLimit = 2;
-  Opts.CompactionBackoffMillis = 1;
-  Opts.CompactionWatchdogMillis = 2000;
   SnapshotStore Store(Base, Opts);
   DeltaGraph Ref(std::make_shared<const Graph>(Base));
   SplitMix64 Rng(0xFA2);
@@ -445,7 +442,6 @@ TEST(FailPoint, BackgroundShardReplayFaultsIsolateAndRecover) {
   Opts.BackgroundCompaction = true;
   Opts.CompactionThreshold = 0.01;
   Opts.MinOverlayEdges = 8;
-  Opts.CompactionRetryLimit = 1;
   ShardedSnapshotStore Store(Base, Opts);
   DeltaGraph Ref(std::make_shared<const Graph>(Base));
   SplitMix64 Rng(0xFA7);

@@ -117,6 +117,47 @@ TEST(ShardedStore, MatchesUnshardedOnFixedBatch) {
   SSSPResult DP = deltaSteppingSSSP(*PA.Snap, 0, S);
   SSSPResult DS = deltaSteppingSSSP(*SA.Snap, 0, S);
   ASSERT_EQ(DP.Dist, DS.Dist);
+
+  // The same write script continues through both stores' vertex paths.
+  // An out-of-range removal publishes nothing on either.
+  const uint64_t V1 = Plain.version();
+  ASSERT_EQ(Sharded.version(), V1);
+  const VertexId Outside = static_cast<VertexId>(G.numNodes() + 5);
+  EXPECT_EQ(Plain.removeVertex(Outside).Version, V1);
+  EXPECT_EQ(Sharded.removeVertex(Outside).Version, V1);
+  EXPECT_EQ(Plain.version(), V1);
+  EXPECT_EQ(Sharded.version(), V1);
+
+  // Detaching Far yields the same coalesced deletes on both.
+  PA = Plain.removeVertex(Far);
+  SA = Sharded.removeVertex(Far);
+  ASSERT_FALSE(PA.Applied.empty());
+  ASSERT_EQ(PA.Applied.size(), SA.Applied.size());
+  for (size_t I = 0; I < PA.Applied.size(); ++I) {
+    EXPECT_EQ(PA.Applied[I].Src, SA.Applied[I].Src) << I;
+    EXPECT_EQ(PA.Applied[I].Dst, SA.Applied[I].Dst) << I;
+    EXPECT_EQ(PA.Applied[I].OldW, SA.Applied[I].OldW) << I;
+    EXPECT_EQ(PA.Applied[I].NewW, SA.Applied[I].NewW) << I;
+  }
+  EXPECT_EQ(PA.Version, SA.Version);
+
+  // Both hand the freed id back without publishing.
+  const uint64_t V2 = Plain.version();
+  EXPECT_EQ(Plain.acquireVertex(), Far);
+  EXPECT_EQ(Sharded.acquireVertex(), Far);
+  EXPECT_EQ(Plain.version(), V2);
+  EXPECT_EQ(Sharded.version(), V2);
+
+  // With the free list empty, growth hands out the same first id.
+  const VertexId Grown = Plain.addVertices(2);
+  EXPECT_EQ(Grown, static_cast<VertexId>(G.numNodes()));
+  EXPECT_EQ(Sharded.addVertices(2), Grown);
+
+  EXPECT_EQ(Plain.version(), Sharded.version());
+  EXPECT_EQ(Plain.freeVertexCount(), 0);
+  EXPECT_EQ(Sharded.freeVertexCount(), 0);
+  EXPECT_EQ(deltaSteppingSSSP(*Plain.current(), 0, S).Dist,
+            deltaSteppingSSSP(*Sharded.current(), 0, S).Dist);
 }
 
 TEST(ShardedStore, VersionVectorBumpsOnlyTouchedShards) {

@@ -24,6 +24,11 @@
 // equal the identity-layout value (the checksum is a sum over vertices,
 // so it is permutation-invariant) or the bench aborts.
 //
+// The `build_*` lines time CSR construction itself: `seconds` is the best
+// of five `GraphBuilder::build` calls on copies of one edge list, and
+// `check` hashes the graph's edge count and every row, which must come
+// out the same on every call.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
@@ -34,6 +39,7 @@
 #include "graph/Generators.h"
 #include "graph/Reorder.h"
 #include "support/Abort.h"
+#include "support/Random.h"
 #include "support/Timer.h"
 
 #include <cstdio>
@@ -55,6 +61,42 @@ Graph roadGraph() {
   BuildOptions Options;
   Options.Symmetrize = true;
   return GraphBuilder(Options).build(Net.NumNodes, Net.Edges);
+}
+
+/// Hash of \p G's edge count and every out- and in-row, in order.
+int64_t graphChecksum(const Graph &G) {
+  uint64_t H = hash64(static_cast<uint64_t>(G.numEdges()));
+  auto Row = [&H](const Graph::NeighborRange &R) {
+    H = hash64(H ^ static_cast<uint64_t>(R.size()));
+    for (WNode E : R)
+      H = hash64(H ^ ((static_cast<uint64_t>(E.V) << 32) |
+                      static_cast<uint32_t>(E.W)));
+  };
+  for (VertexId V = 0; V < static_cast<VertexId>(G.numNodes()); ++V) {
+    Row(G.outNeighbors(V));
+    if (G.hasInEdges() && !G.isSymmetric())
+      Row(G.inNeighbors(V));
+  }
+  return static_cast<int64_t>(H >> 1);
+}
+
+/// Emits the best of five builds of \p Edges under \p Options; aborts if
+/// two builds differ.
+void buildLine(const char *Name, Count NumNodes,
+               const std::vector<Edge> &Edges, BuildOptions Options) {
+  double Best = 1e30;
+  int64_t Check = 0;
+  for (int T = 0; T < 5; ++T) {
+    std::vector<Edge> Copy = Edges;
+    Timer Clock;
+    Graph G = GraphBuilder(Options).build(NumNodes, std::move(Copy));
+    Best = std::min(Best, Clock.seconds());
+    const int64_t Sum = graphChecksum(G);
+    if (T > 0 && Sum != Check)
+      fatalError("perf_smoke: two builds of one edge list differ");
+    Check = Sum;
+  }
+  emitBench(Name, Best, Check);
 }
 
 /// Runs SSSP on a reordered copy of \p G and emits the line; aborts if the
@@ -133,6 +175,18 @@ int main() {
           [&] { Check = resultChecksum(kCoreDecomposition(G, S).Coreness); });
       emitBench(std::string("kcore_") + Spec, T, Check, BuildSeconds);
     }
+  }
+
+  // CSR construction: the symmetrized road grid, and the directed R-MAT
+  // list with its duplicate edges, deduplicated and with in-edges.
+  {
+    BuildOptions Options;
+    Options.Symmetrize = true;
+    RoadNetwork Net = roadGrid(600, 600, 4242);
+    buildLine("build_road_sym", Net.NumNodes, Net.Edges, Options);
+    std::vector<Edge> Edges = rmatEdges(16, 16, 12345);
+    assignRandomWeights(Edges, 1, 256, 999);
+    buildLine("build_rmat_dir", Count{1} << 16, Edges, BuildOptions());
   }
   return 0;
 }

@@ -8,8 +8,28 @@
 /// \file
 /// Builds immutable CSR `Graph`s from edge lists: optional symmetrization
 /// (Table 3 symmetrizes inputs for k-core and SetCover), self-loop removal,
-/// duplicate-edge elimination (keeping the minimum weight), and parallel
-/// counting-sort CSR construction.
+/// and duplicate-edge elimination (keeping the minimum weight).
+///
+/// Each CSR direction is one blocked counting sort in three passes, with
+/// row vertices grouped into blocks of consecutive ids:
+///
+///  1. each chunk of the input list counts the entries it sends to each
+///     block, checking endpoints and skipping dropped self-loops; a
+///     symmetrized edge counts its reverse entry here too, so the list is
+///     never copied;
+///  2. each chunk scatters its entries into the final row array at its
+///     own per-block cursors, which leaves every block's entries in the
+///     range its rows will fill;
+///  3. each block goes to one thread, which writes its rows' offsets,
+///     reorders the range row by row, sorts each row with
+///     `adjacencyRowLess` and notes any parallel edge; duplicates are then
+///     removed only when some row holds one.
+///
+/// Every counter and cursor belongs to one chunk or one block, so no pass
+/// needs an atomic, and the parts are handed out by `omp for`, so a team of
+/// any size covers them. A row's final order depends only on its contents,
+/// so the graph is bit-identical for any thread count and input order. The
+/// input list is released once the last direction is scattered.
 ///
 //===----------------------------------------------------------------------===//
 

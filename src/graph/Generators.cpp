@@ -11,6 +11,7 @@
 #include "support/Parallel.h"
 #include "support/Random.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -114,6 +115,14 @@ RoadNetwork graphit::roadGrid(Count Rows, Count Cols, uint64_t Seed,
     return static_cast<Weight>(
         std::max(1.0, std::ceil(100.0 * Dist * Stretch)));
   };
+
+  // Room for every grid edge plus the expected diagonals and six standard
+  // deviations of their count, so the list is not regrown as it fills.
+  const double Diagonals = std::clamp(DiagonalFraction, 0.0, 1.0) *
+                           static_cast<double>((Rows - 1) * (Cols - 1));
+  Net.Edges.reserve(static_cast<size_t>(Rows * (Cols - 1) +
+                                        (Rows - 1) * Cols + Diagonals +
+                                        6.0 * std::sqrt(Diagonals) + 16.0));
 
   // Grid edges, thinned by DropFraction to make the network irregular.
   for (Count R = 0; R < Rows; ++R) {

@@ -538,7 +538,6 @@ ShardedSnapshotStore::publishLocked(const std::vector<int> &Touched,
   ApplyResult R;
   R.Applied = std::move(Applied);
   MutexLock Lock(ReadMu);
-  takePendingError(R);
   // Publication is all-or-nothing: every fallible step (the snapshot
   // copies and the composite view) runs before any version state mutates,
   // so a failed attempt leaves the versions and the composite untouched.
@@ -598,8 +597,11 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
   // poisoned batch rejects atomically — bit-compatible with the unsharded
   // store (same batches rejected, no version published).
   ApplyResult Rejected;
-  if (rejectMalformed(Apply, N, Rejected))
+  if (rejectMalformed(Apply, N, Rejected)) {
+    MutexLock Lock(ReadMu);
+    takePendingError(Rejected);
     return Rejected; // ShardLocks releases on scope exit
+  }
 
   // Shards whose overlay actually changed: the version-vector contract is
   // "bump exactly when that shard changed", so a locked shard that only
@@ -649,6 +651,11 @@ ShardedSnapshotStore::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
       compactShard(S);
   }
   R.CompactionTriggered = !TriggeredShards.empty();
+  // Surface a fold failure exactly once: this batch's own synchronous
+  // folds have run, so their failure lands here; a background fold's
+  // lands on a later writer call. Fold publishes leave the slot alone.
+  MutexLock Lock(ReadMu);
+  takePendingError(R);
   return R;
 }
 
@@ -901,6 +908,7 @@ ShardedSnapshotStore::removeVertex(VertexId External) {
   ApplyResult R = publishLocked(Dirty, coalesceApplied(Applied));
   ShardLocks.release();
   MutexLock Lock(ReadMu);
+  takePendingError(R);
   Map.recordFreed(External);
   return R;
 }

@@ -448,6 +448,9 @@ private:
   /// Publishes a new composite from the current shard writers. Caller
   /// holds the Mu of every shard in \p Touched (sorted) via a
   /// DynamicLockSet; bumps their shard versions and the global version.
+  /// It leaves the one-shot compaction error pending: a fold's own
+  /// publish drops its result, so only the writer calls that return one
+  /// (applyUpdates, removeVertex) take the error.
   ApplyResult publishLocked(const std::vector<int> &Touched,
                             std::vector<AppliedUpdate> Applied)
       EXCLUDES(ReadMu);

@@ -491,6 +491,128 @@ TEST(FailPoint, BackgroundShardReplayFaultsIsolateAndRecover) {
   EXPECT_EQ(Got.Dist, Want.Dist);
 }
 
+TEST(FailPoint, ShardFoldErrorSurfacesExactlyOnce) {
+  SKIP_WITHOUT_FAILPOINTS();
+  FailPointGuard Guard;
+  Graph Base = makeRoad(16, 17);
+  ShardedSnapshotStore::Options Opts;
+  Opts.NumShards = 4;
+  Opts.CompactionThreshold = 0.01;
+  Opts.MinOverlayEdges = 8;
+  ShardedSnapshotStore Store(Base, Opts);
+  SplitMix64 Rng(0xFA8);
+  const Count Span = Store.shardSpan();
+
+  // One batch trips shards 1 and 2. Their inline folds run in shard
+  // order, so the single armed fault fails shard 1, and shard 2's fold
+  // then succeeds and publishes.
+  std::vector<EdgeUpdate> Batch = shardLocalUpserts(Span, 2 * Span, 24, Rng);
+  std::vector<EdgeUpdate> Second =
+      shardLocalUpserts(2 * Span, 3 * Span, 24, Rng);
+  Batch.insert(Batch.end(), Second.begin(), Second.end());
+  failpoints::reseed(0xFA8);
+  failpoints::activate("compaction.rebuild", 1.0, /*MaxFires=*/1);
+  ShardedSnapshotStore::ApplyResult First = Store.applyUpdates(Batch);
+  ASSERT_EQ(First.Status, ApplyStatus::Ok);
+  ASSERT_TRUE(First.CompactionTriggered);
+  EXPECT_EQ(failpoints::fireCount("compaction.rebuild"), 1u);
+  EXPECT_TRUE(Store.shardDegraded(1));
+  EXPECT_GT(Store.shardFolds(2), 0u) << "shard 2 must fold after shard 1";
+
+  // The next writer call, an empty batch, trips no fold of its own.
+  ShardedSnapshotStore::ApplyResult Next = Store.applyUpdates({});
+  ASSERT_EQ(Next.Status, ApplyStatus::Ok);
+  ASSERT_FALSE(Next.CompactionTriggered);
+
+  const int Surfaced = static_cast<int>(!First.CompactionError.empty()) +
+                       static_cast<int>(!Next.CompactionError.empty());
+  EXPECT_EQ(Surfaced, 1) << "the failed fold must be reported exactly once";
+  const std::string &Error =
+      First.CompactionError.empty() ? Next.CompactionError
+                                    : First.CompactionError;
+  EXPECT_NE(Error.find("shard 1"), std::string::npos) << Error;
+  EXPECT_TRUE(Store.degraded());
+  EXPECT_NE(Store.lastError().find("shard 1"), std::string::npos)
+      << Store.lastError();
+}
+
+namespace {
+
+/// Feeds \p Store batches from \p NextBatch until one trips a background
+/// fold, then waits for that fold. No later batch can start a second one.
+template <class StoreT, class BatchFn>
+void tripOneBackgroundFold(StoreT &Store, BatchFn &&NextBatch) {
+  bool Tripped = false;
+  for (int Round = 0; Round < 16 && !Tripped; ++Round) {
+    typename StoreT::ApplyResult R = Store.applyUpdates(NextBatch());
+    ASSERT_EQ(R.Status, ApplyStatus::Ok);
+    Tripped = R.CompactionTriggered;
+  }
+  ASSERT_TRUE(Tripped) << "no batch tripped a fold";
+  Store.waitForCompaction();
+}
+
+/// The fold retry bound, on either background-compacting store: with
+/// `compaction.rebuild` failing the first K attempts, K = 3 recovers on
+/// the fourth and K = 4 degrades until a fold runs without faults.
+/// `compactions()` counts every successful fold, of any shard.
+template <class StoreT, class BatchFn>
+void checkFoldRetryBound(const Graph &Base, const typename StoreT::Options &O,
+                         BatchFn &&NextBatch) {
+  for (uint64_t K : {3u, 4u}) {
+    SCOPED_TRACE("faults per fold: " + std::to_string(K));
+    StoreT Store(Base, O);
+    failpoints::reseed(0xFA9 + K);
+    failpoints::activate("compaction.rebuild", 1.0, /*MaxFires=*/K);
+    tripOneBackgroundFold(Store, NextBatch);
+    EXPECT_EQ(failpoints::fireCount("compaction.rebuild"), K);
+    failpoints::deactivate("compaction.rebuild");
+    if (K == 3) {
+      EXPECT_FALSE(Store.degraded()) << Store.lastError();
+      EXPECT_EQ(Store.compactions(), 1u);
+      continue;
+    }
+    EXPECT_TRUE(Store.degraded());
+    EXPECT_EQ(Store.compactions(), 0u);
+    EXPECT_NE(Store.lastError().find("compaction.rebuild"), std::string::npos)
+        << Store.lastError();
+    tripOneBackgroundFold(Store, NextBatch);
+    EXPECT_FALSE(Store.degraded()) << Store.lastError();
+    EXPECT_EQ(Store.compactions(), 1u);
+  }
+}
+
+} // namespace
+
+TEST(FailPoint, FoldRetryBoundRecoversFromThreeFaultsNotFour) {
+  SKIP_WITHOUT_FAILPOINTS();
+  FailPointGuard Guard;
+  Graph Base = makeRoad(16, 23);
+  {
+    SCOPED_TRACE("SnapshotStore");
+    SnapshotStore::Options O;
+    O.BackgroundCompaction = true;
+    O.CompactionThreshold = 0.01;
+    O.MinOverlayEdges = 8;
+    SplitMix64 Rng(0xFA9);
+    checkFoldRetryBound<SnapshotStore>(
+        Base, O, [&] { return randomBatch(Base, 32, Rng); });
+  }
+  {
+    SCOPED_TRACE("ShardedSnapshotStore");
+    ShardedSnapshotStore::Options O;
+    O.NumShards = 4;
+    O.BackgroundCompaction = true;
+    O.CompactionThreshold = 0.01;
+    O.MinOverlayEdges = 8;
+    SplitMix64 Rng(0xFAA);
+    const Count Span = Count{64}; // 256 nodes over 4 shards
+    checkFoldRetryBound<ShardedSnapshotStore>(Base, O, [&] {
+      return shardLocalUpserts(2 * Span, 3 * Span, 24, Rng);
+    });
+  }
+}
+
 TEST(FailPoint, StatePoolGrowthRetriesInsideAddVertices) {
   SKIP_WITHOUT_FAILPOINTS();
   FailPointGuard Guard;

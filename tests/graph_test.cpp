@@ -5,18 +5,22 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "stress_harness.h"
+
 #include "graph/Builder.h"
 #include "graph/Generators.h"
 #include "graph/Graph.h"
 #include "support/Random.h"
+#include "support/TSanAnnotate.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <omp.h>
 #include <set>
-#include <tuple>
+#include <string>
 
 using namespace graphit;
 
@@ -144,73 +148,172 @@ TEST(Builder, OutDegreeSum) {
   EXPECT_EQ(G.outDegreeSum(Vs, 0), 0);
 }
 
-TEST(Builder, PerRowDedupMatchesSortAndUniqueReference) {
-  // Edge lists heavy with parallel edges (each (u, v) pair ~4 times, with
-  // different weights) and self-loops. The builder drops duplicates per
-  // sorted CSR row; the reference sorts and uniques the whole list.
-  // 3000 vertices keep the builder on its parallel paths.
-  const Count N = 3000;
+namespace {
+
+using Row = std::vector<std::pair<VertexId, Weight>>;
+
+/// The rows a CSR direction must hold, straight from the option
+/// semantics: entries per kept edge, rows sorted by (neighbor, weight),
+/// and each neighbor's lightest entry alone when deduplicating.
+struct ReferenceCSR {
+  bool Weighted = false;
+  Count NumEdges = 0;
+  std::vector<Row> Out, In;
+};
+
+ReferenceCSR referenceCSR(Count N, const std::vector<Edge> &Edges,
+                          const BuildOptions &O) {
+  std::vector<Edge> Entries;
+  for (const Edge &E : Edges) {
+    if (O.RemoveSelfLoops && E.Src == E.Dst)
+      continue;
+    Entries.push_back(E);
+    if (O.Symmetrize)
+      Entries.push_back({E.Dst, E.Src, E.W});
+  }
+  ReferenceCSR R;
+  R.Weighted = O.Weighted && !Entries.empty();
+  R.Out.resize(static_cast<size_t>(N));
+  R.In.resize(static_cast<size_t>(N));
+  for (const Edge &E : Entries) {
+    const Weight W = R.Weighted ? E.W : 1;
+    R.Out[E.Src].push_back({E.Dst, W});
+    R.In[E.Dst].push_back({E.Src, W});
+  }
+  for (std::vector<Row> *Rows : {&R.Out, &R.In})
+    for (Row &Rw : *Rows) {
+      std::sort(Rw.begin(), Rw.end());
+      if (O.RemoveDuplicates)
+        Rw.erase(std::unique(Rw.begin(), Rw.end(),
+                             [](const auto &A, const auto &B) {
+                               return A.first == B.first;
+                             }),
+                 Rw.end());
+    }
+  for (const Row &Rw : R.Out)
+    R.NumEdges += static_cast<Count>(Rw.size());
+  return R;
+}
+
+Row rowOf(const Graph::NeighborRange &Range) {
+  Row Got;
+  for (WNode E : Range)
+    Got.push_back({E.V, E.W});
+  return Got;
+}
+
+/// Asserts that \p G, built with \p O, holds exactly the rows of \p Want.
+void expectMatchesReference(const Graph &G, const ReferenceCSR &Want,
+                            Count N, const BuildOptions &O) {
+  ASSERT_EQ(G.numNodes(), N);
+  ASSERT_EQ(G.numEdges(), Want.NumEdges);
+  ASSERT_EQ(G.isWeighted(), Want.Weighted);
+  ASSERT_EQ(G.isSymmetric(), O.Symmetrize);
+  ASSERT_EQ(G.hasInEdges(), O.Symmetrize || O.BuildInEdges);
+  for (VertexId V = 0; V < N; ++V) {
+    ASSERT_EQ(rowOf(G.outNeighbors(V)), Want.Out[V]) << "out-row of " << V;
+    // Symmetric graphs alias in-rows to out-rows.
+    if (G.hasInEdges()) {
+      ASSERT_EQ(rowOf(G.inNeighbors(V)),
+                O.Symmetrize ? Want.Out[V] : Want.In[V])
+          << "in-row of " << V;
+    }
+  }
+}
+
+/// \p HowMany edges over [0, N) heavy with parallel edges (each (u, v)
+/// pair about four times, with different weights) and self-loops.
+std::vector<Edge> dupHeavyEdges(Count N, uint64_t HowMany) {
   std::vector<Edge> Edges;
-  for (uint64_t I = 0; I < 60000; ++I) {
+  for (uint64_t I = 0; I < HowMany; ++I) {
     uint64_t H = hash64(I);
     VertexId Src = static_cast<VertexId>(H % N);
     VertexId Dst = static_cast<VertexId>((Src + (H >> 24) % 5) % N);
     Edges.push_back({Src, Dst, static_cast<Weight>(1 + (H >> 40) % 50)});
   }
+  return Edges;
+}
 
-  struct Case {
+} // namespace
+
+TEST(Builder, MatchesReferenceForEveryOptionShapeAndThreadCount) {
+  // Shapes that cross the builder's pass boundaries: no vertex, one
+  // vertex, one block of rows (64) and one row either side, the first size
+  // whose blocks widen (2^14 + 1), a star row longer than the insertion
+  // sort's 16 entries, a list of self-loops only, an empty list, and a
+  // dup-heavy list big enough for the parallel passes.
+  struct Shape {
     const char *Name;
-    bool Symmetrize;
-    bool Weighted;
+    Count N;
+    std::vector<Edge> Edges;
   };
-  for (Case C : {Case{"directed", false, true}, Case{"symmetric", true, true},
-                 Case{"unweighted", false, false}}) {
-    SCOPED_TRACE(C.Name);
-    BuildOptions Options;
-    Options.Symmetrize = C.Symmetrize;
-    Options.Weighted = C.Weighted;
-    Graph G = GraphBuilder(Options).build(N, Edges);
-
-    std::vector<Edge> Ref = Edges;
-    if (C.Symmetrize)
-      for (const Edge &E : Edges)
-        Ref.push_back({E.Dst, E.Src, E.W});
-    Ref.erase(std::remove_if(Ref.begin(), Ref.end(),
-                             [](const Edge &E) { return E.Src == E.Dst; }),
-              Ref.end());
-    std::sort(Ref.begin(), Ref.end(), [](const Edge &A, const Edge &B) {
-      return std::tie(A.Src, A.Dst, A.W) < std::tie(B.Src, B.Dst, B.W);
-    });
-    Ref.erase(std::unique(Ref.begin(), Ref.end(),
-                          [](const Edge &A, const Edge &B) {
-                            return A.Src == B.Src && A.Dst == B.Dst;
-                          }),
-              Ref.end());
-    ASSERT_LT(Ref.size(), Edges.size() / 2) << "input must be dup-heavy";
-    EXPECT_EQ(G.numEdges(), static_cast<Count>(Ref.size()));
-
-    // Expected rows in CSR order: out-rows by (src, dst), in-rows by
-    // (dst, src); unweighted graphs report unit weights.
-    using Row = std::vector<std::pair<VertexId, Weight>>;
-    std::vector<Row> Out(N), In(N);
-    for (const Edge &E : Ref) {
-      Weight W = C.Weighted ? E.W : 1;
-      Out[E.Src].push_back({E.Dst, W});
-      In[E.Dst].push_back({E.Src, W});
-    }
-    for (Row &R : In)
-      std::sort(R.begin(), R.end());
-    for (VertexId V = 0; V < N; ++V) {
-      Row GotOut, GotIn;
-      for (WNode E : G.outNeighbors(V))
-        GotOut.push_back({E.V, E.W});
-      for (WNode E : G.inNeighbors(V))
-        GotIn.push_back({E.V, E.W});
-      ASSERT_EQ(GotOut, Out[V]) << "out-row of " << V;
-      // Symmetric graphs alias in-rows to out-rows.
-      ASSERT_EQ(GotIn, C.Symmetrize ? Out[V] : In[V]) << "in-row of " << V;
-    }
+  const Count Wide = (Count{1} << 14) + 1;
+  std::vector<Shape> Shapes = {
+      {"no vertices", 0, {}},
+      {"one vertex", 1, {{0, 0, 3}, {0, 0, 2}}},
+      {"block - 1", 63, dupHeavyEdges(63, 400)},
+      {"block", 64, dupHeavyEdges(64, 400)},
+      {"block + 1", 65, dupHeavyEdges(65, 400)},
+      {"wider blocks", Wide, dupHeavyEdges(Wide, 40000)},
+      {"star", 40, {}},
+      {"self-loops only", 50, {{3, 3, 1}, {7, 7, 2}, {7, 7, 5}, {49, 49, 4}}},
+      {"empty list", 100, {}},
+      {"dup-heavy", 3000, dupHeavyEdges(3000, 60000)},
+  };
+  for (VertexId V = 1; V < 40; ++V) {
+    Shapes[6].Edges.push_back({0, V, static_cast<Weight>(40 - V)});
+    Shapes[6].Edges.push_back({V, 0, static_cast<Weight>(V)});
   }
+  Shapes[6].Edges.push_back({0, 17, 1}); // a parallel edge in the long row
+  ASSERT_LT(referenceCSR(3000, Shapes.back().Edges, BuildOptions()).NumEdges,
+            static_cast<Count>(Shapes.back().Edges.size() / 2))
+      << "the dup-heavy list must be dup-heavy";
+
+  for (const Shape &S : Shapes)
+    for (int Mask = 0; Mask < 32; ++Mask) {
+      BuildOptions O;
+      O.Symmetrize = Mask & 1;
+      O.Weighted = Mask & 2;
+      O.RemoveSelfLoops = Mask & 4;
+      O.RemoveDuplicates = Mask & 8;
+      O.BuildInEdges = Mask & 16;
+      const ReferenceCSR Want = referenceCSR(S.N, S.Edges, O);
+      for (int Threads = 1; Threads <= 4; ++Threads) {
+        SCOPED_TRACE(std::string(S.Name) + ", options " +
+                     std::to_string(Mask) + ", " + std::to_string(Threads) +
+                     " threads");
+        stress::ScopedThreads Scoped(Threads);
+        expectMatchesReference(GraphBuilder(O).build(S.N, S.Edges), Want,
+                               S.N, O);
+        if (HasFatalFailure())
+          return;
+      }
+    }
+}
+
+TEST(Builder, BuildsInsideAnActiveParallelRegion) {
+  // Each thread of an outer team builds a graph. A nested region gets a
+  // team smaller than getNumWorkers() (one thread while nesting is off),
+  // and the builder's passes must still cover every chunk and block.
+  stress::ScopedThreads Scoped(4);
+  const Count N = 3000;
+  const std::vector<Edge> Edges = dupHeavyEdges(N, 60000);
+  BuildOptions O;
+  O.Weighted = true;
+  std::vector<Graph> Got(2);
+  int Tag = 0;
+  GRAPHIT_OMP_REGION_ENTER(&Tag);
+#pragma omp parallel num_threads(2)
+  {
+    GRAPHIT_OMP_REGION_BEGIN(&Tag);
+    Got[static_cast<size_t>(omp_get_thread_num())] =
+        GraphBuilder(O).build(N, Edges);
+    GRAPHIT_OMP_REGION_END(&Tag);
+  }
+  GRAPHIT_OMP_REGION_EXIT(&Tag);
+  const ReferenceCSR Want = referenceCSR(N, Edges, O);
+  for (const Graph &G : Got)
+    expectMatchesReference(G, Want, N, O);
 }
 
 TEST(Builder, SymmetrizedCopyOfDirectedGraph) {
@@ -343,6 +446,17 @@ TEST(Generators, RoadGridShapeAndCoordinates) {
     ASSERT_LT(E.Dst, 600u);
     ASSERT_GE(E.W, 1);
   }
+}
+
+TEST(Generators, RoadGridEdgeListIsPinned) {
+  // Pins the list, in order: sizing it up front must not change it.
+  RoadNetwork Net = roadGrid(300, 300, 7);
+  uint64_t H = hash64(Net.Edges.size());
+  for (const Edge &E : Net.Edges)
+    H = hash64(H ^ hash64((static_cast<uint64_t>(E.Src) << 32) | E.Dst) ^
+               static_cast<uint32_t>(E.W));
+  EXPECT_EQ(Net.Edges.size(), 178550u);
+  EXPECT_EQ(H, 0xe4f3eee9f8de5b21ULL);
 }
 
 TEST(Generators, RoadGridWeightsAdmissibleForAStar) {

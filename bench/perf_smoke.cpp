@@ -24,6 +24,11 @@
 // equal the identity-layout value (the checksum is a sum over vertices,
 // so it is permutation-invariant) or the bench aborts.
 //
+// `sssp_road_pooled` is the `sssp_road_eager` solve through one reused
+// `DistanceState` (the pooled path library callers and the update bench's
+// recompute take), so the gate sees the state's reset and touch marking;
+// its `check` must equal `sssp_road_eager`'s or the bench aborts.
+//
 // The `build_*` lines time CSR construction itself: `seconds` is the best
 // of five `GraphBuilder::build` calls on copies of one edge list, and
 // `check` hashes the graph's edge count and every row, which must come
@@ -34,6 +39,7 @@
 #include "BenchUtil.h"
 
 #include "algorithms/KCore.h"
+#include "algorithms/QueryState.h"
 #include "algorithms/SSSP.h"
 #include "graph/Builder.h"
 #include "graph/Generators.h"
@@ -150,6 +156,16 @@ int main() {
         [&] { Check = resultChecksum(deltaSteppingSSSP(G, 0, S).Dist); });
     emitBench("sssp_road_eager", T, Check, BuildSeconds);
     reorderedVariant("sssp_road_eager", G, 0, S, ReorderKind::Bfs, Check);
+
+    DistanceState State(G.numNodes());
+    int64_t PooledCheck = 0;
+    double TP = timeBest([&] {
+      deltaSteppingSSSP(G, 0, S, State);
+      PooledCheck = resultChecksum(State.distances());
+    });
+    if (PooledCheck != Check)
+      fatalError("perf_smoke: pooled checksum diverged");
+    emitBench("sssp_road_pooled", TP, PooledCheck, BuildSeconds);
 
     Schedule Lazy;
     Lazy.configApplyPriorityUpdate("lazy").configApplyPriorityUpdateDelta(

@@ -10,8 +10,11 @@
 // and a dispatcher-style full SSSP state is brought up to date two ways:
 //
 //   recompute — pooled beginQuery + a fresh Δ-stepping run over the new
-//               snapshot (the strongest non-incremental baseline: it
-//               already skips the O(V) infinity fill);
+//               snapshot at the default OpenMP thread count (the strongest
+//               non-incremental baseline: it already skips the O(V)
+//               infinity fill). It moves with the pooled state's
+//               multi-thread touch cost, and `speedup` with it; the gate
+//               reads `repair_s` on these lines;
 //   repair    — algorithms/IncrementalSSSP.h: invalidate the affected
 //               set, re-relax its boundary, settle the seeds through the
 //               ordered engine. O(affected), not O(V + E).

@@ -91,17 +91,22 @@ PPSPResult aStarPooled(const GraphT &G, VertexId Source, VertexId Target,
   if (!Heur && !G.hasCoordinates())
     fatalError("aStarSearch: graph has no coordinates and no heuristic");
   State.beginQuery(Source);
-  auto Touch = State.makeTouchFn();
-  if (Heur)
-    return aStarRun(
+  DistanceState::RunTouch Touch = State.makeTouchFn();
+  PPSPResult R;
+  if (Heur) {
+    R = aStarRun(
         G, Source, Target, S, State.distances(),
         [&](VertexId V) { return Heur->estimate(V, Target); }, Touch,
         Limits);
-  const Coordinates &C = G.coordinates();
-  return aStarRun(
-      G, Source, Target, S, State.distances(),
-      [&](VertexId V) { return coordinateBound(C, V, Target); }, Touch,
-      Limits);
+  } else {
+    const Coordinates &C = G.coordinates();
+    R = aStarRun(
+        G, Source, Target, S, State.distances(),
+        [&](VertexId V) { return coordinateBound(C, V, Target); }, Touch,
+        Limits);
+  }
+  Touch.close();
+  return R;
 }
 
 } // namespace

@@ -44,6 +44,7 @@
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -103,7 +104,13 @@ auto makeEagerRelax(const GraphT &G, std::vector<Priority> &Dist,
       }
       if (Improved) {
         Touch(V, U, Old == kInfiniteDistance);
-        Push(V, std::max(C.fineKey(ND + Heur(V)), CurrKey));
+        // ND derives from the DU that passed the stale check (the relax
+        // contract, core/OrderedProcess.h), so the key is never below
+        // CurrKey on an edge where the heuristic is consistent.
+        const int64_t Key = C.fineKey(ND + Heur(V));
+        assert((Key >= CurrKey || Heur(U) > R.weight(I) + Heur(V)) &&
+               "pushed key below the key being relaxed");
+        Push(V, std::max(Key, CurrKey));
       }
     }
   };
@@ -209,9 +216,11 @@ void lazyDistanceLoop(const GraphT &G, LazyBucketQueue &Queue,
 /// (one CAS, under concurrency) can replace ∞, so it holds for exactly one
 /// call per vertex the run lifts off ∞. Unless the run has a one-thread team,
 /// \p Touch runs concurrently from many threads and must synchronize
-/// internally (the pooled `DistanceState::makeTouchFn` logs each vertex on
-/// its `First` call and records parents, and picks its log by that test;
-/// the default is a no-op).
+/// internally. The pooled `DistanceState::makeTouchFn` records parents,
+/// and on each `First` call marks the vertex's line and counts it as
+/// reached, with plain stores or atomics by that same test; it relies on
+/// `First` holding exactly once per vertex for an exact count. The default
+/// is a no-op.
 template <typename GraphT, typename HeurFn, typename StopFn,
           typename TouchFn = NoTouchFn>
 OrderedStats distanceOrderedRun(const GraphT &G, VertexId Source,

@@ -30,21 +30,14 @@
 ///     ordinary Δ-stepping engine runs to quiescence — the same machinery
 ///     as a fresh query, just started mid-flight at the affected boundary.
 ///
-/// After repair the state's touched log is a *superset* of the finite
-/// vertices (a vertex cut off by deletions stays logged); the next
-/// `beginQuery` still resets exactly the right slots. Repair keeps the
-/// logged vertices it left at ∞ on the state's cut-off list, rebuilt from
-/// (affected ∪ old list) in O(affected + cut-off), so
-/// `DistanceState::numReached()` stays exact in O(1). PPSP over a live
-/// graph is served by repairing the source's full SSSP state and reading
-/// `State.dist(target)`.
-///
-/// Repair is the only code that returns logged vertices to ∞, so it alone
-/// must keep the log from taking them twice: the state logs a vertex when
-/// a write replaces ∞ (`First`, see algorithms/QueryState.h). After the
-/// sweep the affected set and the inherited cut-off list carry the
-/// affected mark in `RepairScratch::Mark`, and both the seed loop and the
-/// settle's touch callback clear `First` for marked vertices.
+/// Repair keeps the state's reach count exact in O(affected): each vertex
+/// it invalidates leaves the count (`DistanceState::invalidate`), and each
+/// write that replaces ∞ — in the seed loop or the settle — joins it, as
+/// in a fresh run. An invalidated vertex keeps its line marked, so after
+/// repair the marked lines may hold vertices at ∞ that deletions cut off;
+/// `beginQuery` refills them all the same, and `forEachReached` skips
+/// them. PPSP over a live graph is served by repairing the source's full
+/// SSSP state and reading `State.dist(target)`.
 ///
 /// Repair needs incoming adjacency to scan the affected boundary; on
 /// graphs built without it (and for affected sets so large that repair
@@ -81,9 +74,8 @@ struct RepairStats {
 };
 
 /// Reusable O(V) mark space for the affected-set sweep, epoch-stamped so
-/// consecutive repairs pay O(affected), not O(V). A repair's affected
-/// mark also names the logged vertices it may lift off ∞ again. Pool one
-/// per worker alongside its DistanceState.
+/// consecutive repairs pay O(affected), not O(V). Pool one per worker
+/// alongside its DistanceState.
 class RepairScratch {
 public:
   void ensure(Count NumNodes) {
@@ -196,22 +188,19 @@ RepairStats repairAfterUpdates(const GraphT &G,
       R.AffectedVertices > N / 4) {
     R.RecomputeFallback = true;
     State.beginQuery(Source);
+    DistanceState::RunTouch Touch = State.makeTouchFn();
     R.Engine = detail::distanceOrderedRun(
         G, Source, State.distances(), S,
         [](VertexId) { return Priority{0}; }, [](int64_t) { return false; },
-        State.makeTouchFn());
+        Touch);
+    Touch.close();
     return R;
   }
 
+  // Every affected vertex is finite: the sweep only follows tight edges
+  // out of finite vertices.
   for (VertexId V : Affected)
-    Dist[V] = kInfiniteDistance;
-  // Every logged vertex now at ∞ is affected or on the cut-off list; mark
-  // them all so that lifting one off ∞ does not log it a second time.
-  for (VertexId V : State.cutOff())
-    Scratch.Mark[V] = AffectedEpoch;
-  auto FirstTouch = [&Scratch, AffectedEpoch](VertexId V, bool First) {
-    return First && Scratch.Mark[V] != AffectedEpoch;
-  };
+    State.invalidate(V);
 
   // Phase 2: seed. Serial — the affected region is small by construction
   // (that is the point of taking this path instead of the fallback).
@@ -221,8 +210,7 @@ RepairStats repairAfterUpdates(const GraphT &G,
     if (ND >= Old)
       return;
     Dist[V] = ND;
-    State.recordImprovementSerial(
-        V, From, FirstTouch(V, Old == kInfiniteDistance));
+    State.recordImprovementSerial(V, From, Old == kInfiniteDistance);
     if (Scratch.Mark[V] != SeedEpoch) {
       Scratch.Mark[V] = SeedEpoch;
       Seeds.push_back(V);
@@ -246,14 +234,9 @@ RepairStats repairAfterUpdates(const GraphT &G,
   R.SeedVertices = static_cast<Count>(Seeds.size());
 
   // Phase 3: settle from the seeds through the ordinary ordered engine.
-  // A seed's mark now reads SeedEpoch, but seeds are finite, so the
-  // engine never reports them as First.
-  auto Log = State.makeTouchFn();
-  R.Engine = detail::distanceOrderedSeededRun(
-      G, Seeds, Dist, S, [&](VertexId V, VertexId From, bool First) {
-        Log(V, From, FirstTouch(V, First));
-      });
-  State.rebuildCutOff(Affected);
+  DistanceState::RunTouch Touch = State.makeTouchFn();
+  R.Engine = detail::distanceOrderedSeededRun(G, Seeds, Dist, S, Touch);
+  Touch.close();
   return R;
 }
 

@@ -61,8 +61,11 @@ PPSPResult ppspPooled(const GraphT &G, VertexId Source, VertexId Target,
                       const Schedule &S, DistanceState &State,
                       const RunLimits &Limits) {
   State.beginQuery(Source);
-  return ppspRun(G, Source, Target, S, State.distances(),
-                 State.makeTouchFn(), Limits);
+  DistanceState::RunTouch Touch = State.makeTouchFn();
+  PPSPResult R =
+      ppspRun(G, Source, Target, S, State.distances(), Touch, Limits);
+  Touch.close();
+  return R;
 }
 
 } // namespace

@@ -8,41 +8,45 @@
 #include "algorithms/QueryState.h"
 
 #include "support/Atomics.h"
-#include "support/Parallel.h"
 
 #include <cassert>
+#include <omp.h>
+#include <utility>
 
 using namespace graphit;
 
 DistanceState::DistanceState(Count NumNodes, bool WithParents)
-    : Dist(static_cast<size_t>(NumNodes), kInfiniteDistance),
-      Parent(WithParents ? static_cast<size_t>(NumNodes) : 0,
-             kInvalidVertex),
-      Touched(static_cast<size_t>(NumNodes)), TrackParents(WithParents) {}
+    : TrackParents(WithParents) {
+  resize(NumNodes);
+}
 
 void DistanceState::resize(Count NewNumNodes) {
   if (NewNumNodes <= numNodes())
     return;
-  size_t N = static_cast<size_t>(NewNumNodes);
+  const size_t N = static_cast<size_t>(NewNumNodes);
   Dist.resize(N, kInfiniteDistance);
   if (TrackParents)
     Parent.resize(N, kInvalidVertex);
-  Touched.resize(N);
+  // Line indices do not depend on the size, so held marks stay valid.
+  Lines.resize(static_cast<size_t>((NewNumNodes + kWordVertices - 1) /
+                                   kWordVertices),
+               0);
+  Summary.resize(static_cast<size_t>((NewNumNodes + kSummaryVertices - 1) /
+                                     kSummaryVertices),
+                 0);
 }
 
 void DistanceState::beginQuery(VertexId Source) {
-  // O(touched): only the slots the previous query dirtied are reset.
-  parallelFor(
-      0, NumTouched,
-      [&](Count I) {
-        VertexId V = Touched[static_cast<size_t>(I)];
-        Dist[V] = kInfiniteDistance;
-        if (TrackParents)
-          Parent[V] = kInvalidVertex;
-      },
-      Parallelization::StaticVertexParallel);
-  NumTouched = 0;
-  CutOff.clear();
+  // O(marked lines): only the lines earlier queries wrote are refilled.
+  forEachMarkedLine([&](Count Lo, Count Hi) {
+    std::fill(Dist.begin() + Lo, Dist.begin() + Hi, kInfiniteDistance);
+    if (TrackParents)
+      std::fill(Parent.begin() + Lo, Parent.begin() + Hi, kInvalidVertex);
+  });
+  for (size_t S = 0; S < Summary.size(); ++S)
+    for (uint64_t SW = std::exchange(Summary[S], 0); SW; SW &= SW - 1)
+      Lines[S * 64 + static_cast<size_t>(__builtin_ctzll(SW))] = 0;
+  Reached = 0;
   ++QueriesBegun;
 
   Source_ = Source;
@@ -50,26 +54,37 @@ void DistanceState::beginQuery(VertexId Source) {
   recordImprovementSerial(Source, Source, /*First=*/true);
 }
 
-void DistanceState::recordImprovement(VertexId V, VertexId From,
-                                      bool First) {
-  if (TrackParents)
-    atomicStoreRelaxed(&Parent[V], From);
-  if (First) {
-    Count Slot = fetchAdd(&NumTouched, Count{1});
-    assert(Slot < numNodes() && "a vertex was logged twice");
-    Touched[static_cast<size_t>(Slot)] = V;
+DistanceState::RunTouch::RunTouch(DistanceState &S) : State(&S) {
+  const int Threads = omp_get_max_threads();
+  if (Threads > 1) {
+    Slots = std::make_unique<ThreadCount[]>(static_cast<size_t>(Threads));
+    NumSlots = Threads;
   }
 }
 
-void DistanceState::rebuildCutOff(const std::vector<VertexId> &Invalidated) {
-  size_t Kept = 0;
-  for (VertexId V : CutOff)
-    if (Dist[V] >= kInfiniteDistance)
-      CutOff[Kept++] = V;
-  CutOff.resize(Kept);
-  // Invalidated vertices were finite before the repair, so none is on the
-  // old list: the union has no duplicates.
-  for (VertexId V : Invalidated)
-    if (Dist[V] >= kInfiniteDistance)
-      CutOff.push_back(V);
+void DistanceState::RunTouch::recordConcurrent(VertexId V, VertexId From,
+                                               bool First) {
+  if (State->TrackParents)
+    atomicStoreRelaxed(&State->Parent[V], From);
+  if (!First)
+    return;
+  const int Thread = omp_get_thread_num();
+  assert(Thread < NumSlots && "touched from a thread past the team size");
+  ++Slots[Thread].N;
+  const size_t Line = V / kLineVertices;
+  const size_t Word = Line / 64;
+  const uint64_t Bit = uint64_t{1} << (Line % 64);
+  uint64_t &LineWord = State->Lines[Word];
+  if (atomicLoadRelaxed(&LineWord) & Bit)
+    return;
+  // Only the call that takes the word off zero sets its summary bit.
+  if (detail::asAtomic(LineWord).fetch_or(Bit, std::memory_order_relaxed))
+    return;
+  detail::asAtomic(State->Summary[Word / 64])
+      .fetch_or(uint64_t{1} << (Word % 64), std::memory_order_relaxed);
+}
+
+void DistanceState::RunTouch::close() {
+  for (int I = 0; I < NumSlots; ++I)
+    State->Reached += std::exchange(Slots[I].N, 0);
 }

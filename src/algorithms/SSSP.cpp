@@ -28,9 +28,12 @@ OrderedStats ssspPooled(const GraphT &G, VertexId Source, const Schedule &S,
                         DistanceState &State,
                         const CancelToken *Cancel = nullptr) {
   State.beginQuery(Source);
-  return detail::distanceOrderedRun(
+  DistanceState::RunTouch Touch = State.makeTouchFn();
+  OrderedStats Stats = detail::distanceOrderedRun(
       G, Source, State.distances(), S, [](VertexId) { return Priority{0}; },
-      [](int64_t) { return false; }, State.makeTouchFn(), Cancel);
+      [](int64_t) { return false; }, Touch, Cancel);
+  Touch.close();
+  return Stats;
 }
 
 } // namespace

@@ -52,7 +52,17 @@
 /// The engine is generic over the relaxation: `Relax(U, CurrKey, Push)`
 /// re-checks staleness against the fine key `CurrKey` (the bucket's first
 /// fine key in a global round, the sub-bin's in a fused drain) and calls
-/// `Push(V, Fine)` for every improved neighbor. A `Stop` predicate
+/// `Push(V, Fine)` for every improved neighbor.
+///
+/// The relax contract: every key a relax pushes derives from the one value
+/// of U's priority that passed its stale check, never from a second read.
+/// Another thread may lower U meanwhile. A key derived from the lower
+/// value can fall below a fused drain's `CurrKey`; the caller's clamp
+/// files it at `CurrKey`, where the stale check drops it, and the thread
+/// relaxing from the lowered U loses its CAS to the value already
+/// written, so nobody pushes the neighbor at its real key. With
+/// non-negative weights and a consistent heuristic, a key derived from the
+/// checked value is never below `CurrKey`. A `Stop` predicate
 /// evaluated at round boundaries on the bucket key supports the early
 /// exits of PPSP and A* (it must read only round-stable state so all
 /// threads decide identically).

@@ -376,20 +376,25 @@ private:
     line("const int64_t GenDelta = " + Delta + ";");
     line("const PriorityCoarsener GenKeys = PriorityCoarsener::of(GenDelta);");
     line("OrderedStats GenStats;");
-    // The engine hands the relax fine keys (sub-bins of a Δ-bucket).
+    // The engine hands the relax fine keys (sub-bins of a Δ-bucket). The
+    // source's priority is loaded once; the stale check and every UDF
+    // read of it use that value (core/OrderedProcess.h).
     open("auto GenRelax = [&](VertexId " + Src +
          ", int64_t gen_curr_key, auto &&gen_push) {");
-    line("if (GenKeys.fineKey(" + Vec + "[" + Src +
-         "]) < gen_curr_key) return;");
+    line("const Priority gen_src_prio = atomicLoadRelaxed(&" + Vec + "[" +
+         Src + "]);");
+    line("if (GenKeys.fineKey(gen_src_prio) < gen_curr_key) return;");
     open("for (WNode GenEdge : " + L.EdgesetName + ".outNeighbors(" + Src +
          ")) {");
     line("VertexId " + Dst + " = GenEdge.V; (void)" + Dst + ";");
     line("Priority " + W + " = GenEdge.W; (void)" + W + ";");
     CurrentUpdateLowering = UpdateLowering::EagerPush;
     CurrentVec = Vec;
+    CurrentSrc = Src;
     for (const StmtPtr &St : F.Body)
       emitGenericStmt(*St, &F);
     CurrentUpdateLowering = UpdateLowering::Facade;
+    CurrentSrc.clear();
     close(); // for
     close("};");
     std::string Start =
@@ -702,9 +707,15 @@ private:
       return methodCallToCpp(*M, Ctx);
     if (const auto *Ix = dyn_cast<IndexExpr>(&E)) {
       // argv[i] stays as-is; vectors index with a cast.
-      if (const auto *BV = dyn_cast<VarRefExpr>(Ix->Base.get()))
+      if (const auto *BV = dyn_cast<VarRefExpr>(Ix->Base.get())) {
         if (BV->Name == "argv")
           return "argv[" + exprToCpp(*Ix->Index, Ctx) + "]";
+        // The eager relax's own source priority: the value it loaded.
+        const auto *IV = dyn_cast<VarRefExpr>(Ix->Index.get());
+        if (!CurrentSrc.empty() && BV->Name == CurrentVec && IV &&
+            IV->Name == CurrentSrc)
+          return "gen_src_prio";
+      }
       return exprToCpp(*Ix->Base, Ctx) + "[static_cast<size_t>(" +
              exprToCpp(*Ix->Index, Ctx) + ")]";
     }
@@ -829,6 +840,7 @@ private:
   std::vector<std::string> EdgesetNames;
   UpdateLowering CurrentUpdateLowering = UpdateLowering::Facade;
   std::string CurrentVec;
+  std::string CurrentSrc; ///< the eager relax's source, while emitting it
   std::string CurrentPQ;
 };
 

@@ -101,6 +101,12 @@ struct PQSink {
   std::function<void(VertexId, Priority)> Max;
   std::function<void(VertexId, Priority, Priority)> Sum;
   std::function<Priority()> CurrentPriority;
+  /// The eager relax's source slot and the value that passed its stale
+  /// check: a UDF read of that slot sees this value, never a newer one
+  /// (the relax contract in core/OrderedProcess.h).
+  const std::vector<Priority> *SrcVec = nullptr;
+  VertexId Src = kInvalidVertex;
+  Priority SrcPrio = 0;
 };
 
 class InterpreterImpl {
@@ -343,10 +349,16 @@ private:
     OrderedStats Stats;
     const PriorityCoarsener C = PriorityCoarsener::of(Delta);
     auto Relax = [&](VertexId U, int64_t CurrKey, auto &&Push) {
-      // Relaxed atomic pre-checks: concurrent relaxations CAS these slots.
-      if (C.fineKey(atomicLoadRelaxed(&Prio[U])) < CurrKey)
+      // One relaxed load of the source's priority (concurrent relaxations
+      // CAS these slots): the stale check and every UDF read of it use
+      // that value.
+      const Priority SrcPrio = atomicLoadRelaxed(&Prio[U]);
+      if (C.fineKey(SrcPrio) < CurrKey)
         return;
       PQSink Sink;
+      Sink.SrcVec = &Prio;
+      Sink.Src = U;
+      Sink.SrcPrio = SrcPrio;
       Sink.Min = [&](VertexId V, Priority NewVal) {
         if (NewVal < atomicLoadRelaxed(&Prio[V]) &&
             atomicWriteMin(&Prio[V], NewVal))
@@ -530,6 +542,8 @@ private:
       int64_t I = eval(*Ix->Index, E, Sink).asInt();
       if (I < 0 || static_cast<size_t>(I) >= Vec.size())
         interpFail("vector index out of range");
+      if (Sink && Sink->SrcVec == &Vec && I == Sink->Src)
+        return Value::ofInt(Sink->SrcPrio);
       // Relaxed atomic read: UDFs run inside parallel relaxations, so
       // another thread may be CAS-ing this slot (pq.min re-validates).
       return Value::ofInt(atomicLoadRelaxed(&Vec[static_cast<size_t>(I)]));

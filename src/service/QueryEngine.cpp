@@ -166,20 +166,14 @@ bool BasicQueryEngine<StoreT>::serveFromHot(const Query &QI, uint64_t Ver,
     R.Dist = St->dist(QI.Target);
   R.Touched = St->numReached();
   if (QI.CollectReached) {
-    // After repairs the touched log is a superset of the finite vertices
-    // (a vertex cut off by deletions stays logged): filter on finiteness
-    // so Reached matches what a fresh run reports.
+    // The state yields its finite vertices in increasing id (vertices
+    // deletions cut off since it was warmed are not among them), so the
+    // copy needs no sort.
     R.Reached.reserve(static_cast<size_t>(R.Touched));
-    const Count Logged = St->numTouched();
-    for (Count I = 0; I < Logged; ++I) {
-      VertexId V = St->touched(I);
-      Priority D = St->dist(V);
-      if (D < kInfiniteDistance)
-        R.Reached.emplace_back(V, D);
-    }
+    St->forEachReached(
+        [&R](VertexId V, Priority D) { R.Reached.emplace_back(V, D); });
     assert(static_cast<Count>(R.Reached.size()) == R.Touched &&
-           "the cut-off list holds exactly the logged vertices at infinity");
-    std::sort(R.Reached.begin(), R.Reached.end());
+           "the reach count is the number of finite vertices");
   }
   return true;
 }
@@ -620,7 +614,7 @@ QueryResult BasicQueryEngine<StoreT>::runOneOn(
                                  : QueryStatus::Ok;
   }
 
-  R.Touched = State.numTouched();
+  R.Touched = State.numReached();
   if (Q.Kind == QueryKind::SSSP && Q.Target != kInvalidVertex) {
     // submit() range-checked the target; report it only when provably
     // settled (always, unless interrupted).
@@ -632,22 +626,19 @@ QueryResult BasicQueryEngine<StoreT>::runOneOn(
     // Report only the settled prefix: vertices at tentative distances at
     // or above the bound might still improve had the run continued.
     Count Settled = 0;
-    for (Count I = 0; I < R.Touched; ++I)
-      if (State.dist(State.touched(I)) < SettledBound)
-        ++Settled;
+    State.forEachReached([&](VertexId, Priority D) {
+      Settled += D < SettledBound;
+    });
     R.Touched = Settled;
   }
 
   if (Q.CollectReached) {
+    // Increasing id, so already in the sorted order Reached promises.
     R.Reached.reserve(static_cast<size_t>(R.Touched));
-    const Count Logged = State.numTouched();
-    for (Count I = 0; I < Logged; ++I) {
-      VertexId V = State.touched(I);
-      Priority D = State.dist(V);
+    State.forEachReached([&](VertexId V, Priority D) {
       if (D < SettledBound)
         R.Reached.emplace_back(V, D);
-    }
-    std::sort(R.Reached.begin(), R.Reached.end());
+    });
   }
 
   // Path extraction also requires a settled target (an interrupted run's

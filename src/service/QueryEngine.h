@@ -13,8 +13,9 @@
 /// What makes serving different from the paper's single-run setting:
 ///
 ///  * every worker owns a pooled `DistanceState` (distance/parent arrays
-///    plus a log of the vertices each query reached), so a query pays
-///    O(touched) setup instead of the O(V) infinity-fill a fresh run pays;
+///    plus a bitmap of the 8-vertex lines each query wrote), so a query
+///    pays O(touched) setup instead of the O(V) infinity-fill a fresh run
+///    pays;
 ///  * an optional `LandmarkCache` (ALT) sharpens the A* bound beyond the
 ///    coordinate heuristic, shared read-only by all workers;
 ///  * each query runs through the ordinary ordered engine — eager with
@@ -349,8 +350,9 @@ private:
   /// `Touched` counter reports the full solution's reach, which for
   /// PPSP/A* differs from an early-exited fresh run's engine counter).
   /// A hit costs O(1): `Touched` is the state's kept reach count
-  /// (`DistanceState::numReached`), and only `CollectReached` scans the
-  /// touched log. The copy-out runs lock-free on an immutable shared_ptr
+  /// (`DistanceState::numReached`), and only `CollectReached` walks the
+  /// state's marked lines (`forEachReached`, already in id order). The
+  /// copy-out runs lock-free on an immutable shared_ptr
   /// snapshot — repair never mutates a state a reader still references
   /// (it clones). \returns false on miss; results are in internal id
   /// space.

@@ -98,7 +98,8 @@ struct Query {
   /// Per-query schedule override; the engine default applies when absent.
   std::optional<Schedule> Sched;
   /// SSSP only: return the (vertex, distance) pairs of every reached
-  /// vertex, sorted by vertex id (O(touched log touched) extra work).
+  /// vertex, sorted by vertex id (O(touched) extra work: the state visits
+  /// its reached vertices in id order).
   bool CollectReached = false;
   /// PPSP/A* with parent tracking enabled: return the shortest path.
   bool CollectPath = false;

@@ -84,6 +84,35 @@ TEST(CodeGen, EagerSSSPUsesOrderedProcessOperator) {
   EXPECT_TRUE(contains(Code.Cpp, "eager_with_fusion,delta=4"));
 }
 
+TEST(CodeGen, EagerRelaxReadsTheSourcePriorityOnce) {
+  // The relax contract (core/OrderedProcess.h): the stale check and the
+  // UDF share one relaxed load of the source's priority. A second read
+  // can see a concurrently lowered source and push a neighbor below a
+  // fused drain's key, where nobody processes it.
+  struct AppVector {
+    const char *App;
+    std::string Vec;
+  };
+  for (const AppVector &A : {AppVector{"sssp.gt", "dist"},
+                             AppVector{"ppsp.gt", "dist"},
+                             AppVector{"astar.gt", "f"}}) {
+    SCOPED_TRACE(A.App);
+    GeneratedCode Code =
+        compileApp(A.App, Schedule::parse("eager_with_fusion,delta=8"));
+    ASSERT_TRUE(Code.UsedEagerEngine);
+    const std::string Load =
+        "const Priority gen_src_prio = atomicLoadRelaxed(&" + A.Vec +
+        "[src]);";
+    const size_t First = Code.Cpp.find(Load);
+    ASSERT_NE(First, std::string::npos);
+    EXPECT_EQ(Code.Cpp.find(Load, First + 1), std::string::npos);
+    EXPECT_TRUE(contains(Code.Cpp, "GenKeys.fineKey(gen_src_prio)"));
+    EXPECT_FALSE(contains(Code.Cpp, A.Vec + "[static_cast<size_t>(src)]"))
+        << "the UDF reads the source priority a second time";
+    EXPECT_FALSE(contains(Code.Cpp, A.Vec + "[src]) <"));
+  }
+}
+
 TEST(CodeGen, EagerSSSPCompiles) {
   expectCompiles(compileApp("sssp.gt",
                             Schedule::parse("eager_with_fusion,delta=4")),

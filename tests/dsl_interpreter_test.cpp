@@ -13,6 +13,8 @@
 
 #include "dsl/Driver.h"
 
+#include "stress_harness.h"
+
 #include "algorithms/AStar.h"
 #include "algorithms/Dijkstra.h"
 #include "algorithms/KCore.h"
@@ -92,6 +94,29 @@ TEST(InterpSSSP, RoadGridEagerMatchesDijkstra) {
       optionsWith(Schedule::parse("eager_with_fusion,delta=4096"), {"0"}));
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Vectors.at("dist"), dijkstraSSSP(G, 0));
+}
+
+TEST(InterpSSSP, FusedRoadGridMatchesDijkstraAtFourThreads) {
+  // Fused drains at four threads: the relax must derive its pushes from
+  // the source priority its stale check passed (the relax contract,
+  // core/OrderedProcess.h). Re-reading dist[src] in the UDF got hundreds
+  // of the 360,000 distances wrong in every run of this case.
+  Graph G = roadWithCoords(600, 11);
+  const std::vector<Priority> Want = dijkstraSSSP(G, 7);
+  stress::ScopedThreads Scope(4);
+  for (int Run = 0; Run < 3; ++Run) {
+    InterpResult R = runSource(
+        appSource("sssp.gt"), G,
+        optionsWith(Schedule::parse("eager_with_fusion,delta=8192"), {"7"}));
+    ASSERT_TRUE(R.Ok) << R.Error;
+    ASSERT_TRUE(R.UsedEagerEngine);
+    const std::vector<Priority> &Got = R.Vectors.at("dist");
+    ASSERT_EQ(Got.size(), Want.size());
+    Count Wrong = 0;
+    for (size_t V = 0; V < Want.size(); ++V)
+      Wrong += Got[V] != Want[V];
+    EXPECT_EQ(Wrong, 0) << "run " << Run;
+  }
 }
 
 TEST(InterpSSSP, ReportsEngineStats) {

@@ -11,12 +11,14 @@
 
 #include "algorithms/AStar.h"
 #include "algorithms/Dijkstra.h"
+#include "algorithms/IncrementalSSSP.h"
 #include "algorithms/PPSP.h"
 #include "algorithms/QueryState.h"
 #include "algorithms/SSSP.h"
 #include "graph/Builder.h"
 #include "graph/Generators.h"
 #include "service/LandmarkCache.h"
+#include "service/SnapshotStore.h"
 #include "service/StatePool.h"
 #include "support/Random.h"
 
@@ -36,6 +38,7 @@ using namespace graphit::service;
 // update batches from the same canonical space.
 using graphit::stress::coordinateSafeInsertBatch;
 using graphit::stress::randomBatch;
+using graphit::stress::reachedVertices;
 using graphit::stress::ScopedThreads;
 
 namespace {
@@ -66,25 +69,42 @@ Schedule scheduleFor(int Which) {
   return S;
 }
 
-/// The touched log holds each vertex at finite distance exactly once, and
-/// `numReached()` counts them.
-void expectLogIsReachedSet(const DistanceState &State) {
-  const Count N = State.numNodes();
-  ASSERT_LE(State.numTouched(), N);
-  std::vector<uint8_t> InTouched(static_cast<size_t>(N), 0);
-  for (Count I = 0; I < State.numTouched(); ++I) {
-    VertexId V = State.touched(I);
-    EXPECT_FALSE(InTouched[V]) << "duplicate touched entry " << V;
-    InTouched[V] = 1;
-  }
-  Count Finite = 0;
-  for (Count V = 0; V < N; ++V) {
-    const bool Reached =
-        State.dist(static_cast<VertexId>(V)) < kInfiniteDistance;
-    Finite += Reached;
-    EXPECT_EQ(InTouched[V] != 0, Reached) << "vertex " << V;
-  }
-  EXPECT_EQ(State.numReached(), Finite);
+/// `forEachReached` visits each vertex at finite distance exactly once, in
+/// increasing id and with its distance, and `numReached()` counts them.
+void expectReachedSetIsExact(const DistanceState &State) {
+  std::vector<VertexId> Finite;
+  for (Count V = 0; V < State.numNodes(); ++V)
+    if (State.dist(static_cast<VertexId>(V)) < kInfiniteDistance)
+      Finite.push_back(static_cast<VertexId>(V));
+  EXPECT_EQ(reachedVertices(State), Finite);
+  EXPECT_EQ(State.numReached(), static_cast<Count>(Finite.size()));
+  State.forEachReached([&State](VertexId V, Priority D) {
+    EXPECT_EQ(D, State.dist(V)) << "vertex " << V;
+  });
+}
+
+/// Directed star from \p Hub to each of \p Leaves at weight leaf id + 1,
+/// over \p N vertices.
+Graph starGraph(Count N, VertexId Hub, const std::vector<VertexId> &Leaves) {
+  std::vector<Edge> Edges;
+  for (VertexId L : Leaves)
+    if (L != Hub)
+      Edges.push_back({Hub, L, static_cast<Weight>(L + 1)});
+  return GraphBuilder().build(N, Edges);
+}
+
+/// The vertices of [0, \p N) that sit on a line, word or summary-word
+/// boundary of the state's bitmap, plus the last one.
+std::vector<VertexId> boundaryVertices(Count N) {
+  std::vector<VertexId> Out;
+  for (Count V : {Count{0}, Count{7}, Count{8}, Count{9}, Count{511},
+                  Count{512}, Count{513}, Count{32767}, Count{32768}, N - 1})
+    if (V >= 0 && V < N &&
+        std::find(Out.begin(), Out.end(), static_cast<VertexId>(V)) ==
+            Out.end())
+      Out.push_back(static_cast<VertexId>(V));
+  std::sort(Out.begin(), Out.end());
+  return Out;
 }
 
 } // namespace
@@ -111,9 +131,10 @@ TEST(DistanceState, PooledSSSPMatchesFreshAcrossReuse) {
 }
 
 TEST(DistanceState, TouchedListIsExactlyTheReachedSet) {
-  // One thread takes the plain log, four the atomic one. Either way the
-  // log holds each vertex at finite distance exactly once, for a full
-  // SSSP and for early-exited point searches alike.
+  // One thread marks with plain ORs, four with atomics and per-thread
+  // counts. Either way the reached set is exactly the vertices at finite
+  // distance and the reach count is its size, for a full SSSP and for
+  // early-exited point searches alike.
   Graph G = roadWithCoords(20, 3);
   Schedule S;
   S.Delta = 4096;
@@ -131,16 +152,17 @@ TEST(DistanceState, TouchedListIsExactlyTheReachedSet) {
         pointToPointShortestPath(G, Src, Dst, S, State);
       else
         aStarSearch(G, Src, Dst, S, State);
-      expectLogIsReachedSet(State);
+      expectReachedSetIsExact(State);
     }
 
   // Racing first touches. An R-MAT hub has hundreds of in-edges, and with
   // weights 1-8 under Δ = 64 most of them relax in the same round, so
   // several threads lift it off ∞ at once. Only the write that replaced
-  // ∞ may log it: the eager CAS, the lazy push CAS and the lazy pull's
-  // owner store alike. Reusing the state also covers the reset. Sixteen
-  // sources per schedule make the race likely: logging on the pre-check
-  // load instead of the CAS's replaced value failed 10 of 10 runs.
+  // ∞ may count it: the eager CAS, the lazy push CAS and the lazy pull's
+  // owner store alike. Reusing the state also covers the reset. 256
+  // sources per schedule make the race likely: an eager relax that counts
+  // on its pre-check load instead of the CAS's replaced value over-counts,
+  // and with sixteen sources it slipped through 4 of 10 runs.
   std::vector<Edge> Edges = rmatEdges(12, 16, 77);
   assignRandomWeights(Edges, 1, 8, 5);
   Graph Rmat = GraphBuilder().build(Count{1} << 12, Edges);
@@ -154,11 +176,11 @@ TEST(DistanceState, TouchedListIsExactlyTheReachedSet) {
       RS.Dir = Which == 1 ? Direction::SparsePush : Direction::DensePull;
     }
     DistanceState State(Rmat.numNodes());
-    for (VertexId RSrc = 0; RSrc < Rmat.numNodes(); RSrc += 256) {
+    for (VertexId RSrc = 0; RSrc < Rmat.numNodes(); RSrc += 16) {
       SCOPED_TRACE(::testing::Message()
                    << "rmat schedule=" << Which << " source=" << RSrc);
       deltaSteppingSSSP(Rmat, RSrc, RS, State);
-      expectLogIsReachedSet(State);
+      expectReachedSetIsExact(State);
     }
   }
 }
@@ -175,6 +197,134 @@ TEST(DistanceState, PooledPPSPAndAStarMatchDijkstra) {
     EXPECT_EQ(pointToPointShortestPath(G, Src, Dst, S, State).Dist, Exact);
     EXPECT_EQ(aStarSearch(G, Src, Dst, S, State).Dist, Exact);
   }
+}
+
+TEST(DistanceState, BitmapShapesAcrossLineWordAndSummaryBoundaries) {
+  // A line is 8 vertices, a word of line bits 512, a summary word 32,768.
+  // The star from the last vertex reaches every boundary vertex; the next
+  // query must refill all of them and leave only its own source finite.
+  for (Count N : {Count{0}, Count{1}, Count{7}, Count{8}, Count{9},
+                  Count{511}, Count{512}, Count{513}, Count{32768},
+                  Count{32769}})
+    for (int Threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "N=" << N
+                                        << " threads=" << Threads);
+      ScopedThreads Scope(Threads);
+      DistanceState State(N);
+      EXPECT_EQ(State.numNodes(), N);
+      EXPECT_EQ(State.numReached(), 0);
+      EXPECT_TRUE(reachedVertices(State).empty());
+      if (N == 0)
+        continue;
+      const std::vector<VertexId> Leaves = boundaryVertices(N);
+      const auto Hub = static_cast<VertexId>(N - 1);
+      Graph G = starGraph(N, Hub, Leaves);
+      Schedule S;
+      deltaSteppingSSSP(G, Hub, S, State);
+      EXPECT_EQ(reachedVertices(State), Leaves);
+      expectReachedSetIsExact(State);
+      for (VertexId L : Leaves)
+        EXPECT_EQ(State.dist(L), L == Hub ? 0 : Priority{L} + 1);
+
+      State.beginQuery(0);
+      EXPECT_EQ(reachedVertices(State), std::vector<VertexId>{0});
+      expectReachedSetIsExact(State);
+    }
+}
+
+TEST(DistanceState, ResizeAcrossLineAndWordBoundariesKeepsTheSolution) {
+  // Seven vertices fill part of one line; growing to 9 crosses a line
+  // boundary, to 513 a word of line bits, and to 32,769 a summary word.
+  // The held solution stays as it was, the appended vertices read ∞, and
+  // the next query still refills every line the old one wrote.
+  DistanceState State(7);
+  const std::vector<VertexId> Leaves = boundaryVertices(7);
+  deltaSteppingSSSP(starGraph(7, 6, Leaves), 6, Schedule(), State);
+  const std::vector<VertexId> Reached = reachedVertices(State);
+  ASSERT_EQ(Reached, Leaves);
+  for (Count N : {Count{9}, Count{513}, Count{32769}}) {
+    SCOPED_TRACE(::testing::Message() << "grown to " << N);
+    State.resize(N);
+    ASSERT_EQ(State.numNodes(), N);
+    EXPECT_EQ(reachedVertices(State), Reached);
+    expectReachedSetIsExact(State);
+    for (VertexId L : Leaves)
+      EXPECT_EQ(State.dist(L), L == 6 ? 0 : Priority{L} + 1);
+    for (Count V = 7; V < N; ++V)
+      ASSERT_EQ(State.dist(static_cast<VertexId>(V)), kInfiniteDistance);
+  }
+  State.resize(9); // shrinking is a no-op
+  EXPECT_EQ(State.numNodes(), 32769);
+
+  const std::vector<VertexId> Grown = boundaryVertices(32769);
+  deltaSteppingSSSP(starGraph(32769, 32768, Grown), 32768, Schedule(),
+                    State);
+  EXPECT_EQ(reachedVertices(State), Grown);
+  State.beginQuery(3);
+  EXPECT_EQ(reachedVertices(State), std::vector<VertexId>{3});
+  expectReachedSetIsExact(State);
+}
+
+TEST(DistanceState, CopyResetsIndependentlyOfItsOriginal) {
+  // HotStateCache clones a state a reader still holds and repairs the
+  // clone. Both must keep their own marks: resetting one leaves the other
+  // whole, and each reset refills every line the shared solution wrote.
+  Graph G = roadWithCoords(30, 5);
+  DistanceState Original(G.numNodes());
+  deltaSteppingSSSP(G, 17, Schedule(), Original);
+  DistanceState Copy = Original;
+  const std::vector<VertexId> Full = reachedVertices(Original);
+  EXPECT_EQ(reachedVertices(Copy), Full);
+  EXPECT_EQ(Copy.numReached(), Original.numReached());
+
+  Copy.beginQuery(5);
+  EXPECT_EQ(reachedVertices(Copy), std::vector<VertexId>{5});
+  expectReachedSetIsExact(Copy);
+  EXPECT_EQ(reachedVertices(Original), Full);
+  expectReachedSetIsExact(Original);
+
+  Original.beginQuery(400);
+  EXPECT_EQ(reachedVertices(Original), std::vector<VertexId>{400});
+  expectReachedSetIsExact(Original);
+  EXPECT_EQ(reachedVertices(Copy), std::vector<VertexId>{5});
+}
+
+TEST(DistanceState, BeginQueryAfterRepairResetsLiftedAndCutOffVertices) {
+  // Path 0 -> 1 -> 2 -> 3 plus isolated 4-7 (see
+  // IncrementalRepair.DeleteCanDisconnect). Deleting 1 -> 2 cuts 2 and 3
+  // off, and re-inserting it lifts them back off ∞. Whether the repair
+  // left them at ∞ or lifted them again, the next query leaves only its
+  // own source finite.
+  for (bool Reinsert : {false, true})
+    for (int Threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << "reinsert=" << Reinsert
+                                        << " threads=" << Threads);
+      ScopedThreads Scope(Threads);
+      std::vector<Edge> Edges = {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}};
+      SnapshotStore Store(GraphBuilder().build(8, Edges));
+      Schedule S;
+      DistanceState State(8, /*TrackParents=*/true);
+      deltaSteppingSSSP(*Store.current(), 0, S, State);
+      RepairScratch Scratch;
+      SnapshotStore::ApplyResult A =
+          Store.applyUpdates({EdgeUpdate{1, 2, 0, UpdateKind::Delete}});
+      repairAfterUpdates(*A.Snap, A.Applied, State, S, Scratch);
+      if (Reinsert) {
+        SnapshotStore::ApplyResult B =
+            Store.applyUpdates({EdgeUpdate{1, 2, 1, UpdateKind::Upsert}});
+        repairAfterUpdates(*B.Snap, B.Applied, State, S, Scratch);
+        EXPECT_EQ(reachedVertices(State), (std::vector<VertexId>{0, 1, 2, 3}));
+      } else {
+        EXPECT_EQ(reachedVertices(State), (std::vector<VertexId>{0, 1}));
+      }
+      expectReachedSetIsExact(State);
+
+      State.beginQuery(5);
+      EXPECT_EQ(reachedVertices(State), std::vector<VertexId>{5});
+      expectReachedSetIsExact(State);
+      for (VertexId V = 0; V < 8; ++V)
+        EXPECT_EQ(State.parent(V), V == 5 ? 5 : kInvalidVertex);
+    }
 }
 
 //===----------------------------------------------------------------------===//

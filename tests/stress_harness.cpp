@@ -139,14 +139,21 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
   EO.AdmissionSoftWater = 32;
   ShardedQueryEngine Engine(Sharded, EO);
 
-  // Hot dispatcher state repaired across every version (external source
-  // 0), checked bit-for-bit against a fresh recompute each round.
+  // Hot dispatcher states repaired across every version (external source
+  // 0), checked bit-for-bit against a fresh recompute each round: one
+  // repaired on a one-thread team (plain marks) and one on four (atomic
+  // marks, per-thread counts).
   const VertexId RepairSrcExt = 0;
-  DistanceState Repaired(Plain.current()->numNodes());
-  deltaSteppingSSSP(*Plain.current(),
-                    Plain.mapping().toInternal(RepairSrcExt), Eager,
-                    Repaired);
-  RepairScratch Scratch;
+  const int RepairThreads[] = {1, 4};
+  std::vector<DistanceState> Repaired(
+      std::size(RepairThreads), DistanceState(Plain.current()->numNodes()));
+  std::vector<RepairScratch> Scratch(std::size(RepairThreads));
+  for (size_t I = 0; I < Repaired.size(); ++I) {
+    ScopedThreads Scope(RepairThreads[I]);
+    deltaSteppingSSSP(*Plain.current(),
+                      Plain.mapping().toInternal(RepairSrcExt), Eager,
+                      Repaired[I]);
+  }
 
   SplitMix64 Rng(C.Seed);
 
@@ -218,7 +225,8 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
                    << " sharded=" << FirstS << " want=" << OldN;
         return Fail.str();
       }
-      Repaired.resize(Ref.numNodes()); // growth alone changes no distance
+      for (DistanceState &R : Repaired)
+        R.resize(Ref.numNodes()); // growth alone changes no distance
       for (Count I = 0; I < K; ++I) {
         VertexId NewV = static_cast<VertexId>(OldN + I);
         Weight W =
@@ -426,24 +434,38 @@ std::string graphit::stress::runLiveStress(const StressConfig &C) {
     }
 
     // --- Repaired-vs-recomputed differential ----------------------------
-    repairAfterUpdates(*PA.Snap, PA.Applied, Repaired, Eager, Scratch);
     SSSPResult FreshP = deltaSteppingSSSP(
         *PA.Snap, Plain.mapping().toInternal(RepairSrcExt), Eager);
-    Count FreshFinite = 0;
-    for (Count V = 0; V < PA.Snap->numNodes(); ++V) {
-      if (Repaired.distances()[V] != FreshP.Dist[V]) {
-        Tag(Round) << "repair diverges from recompute at internal vertex "
-                   << V << ": repaired=" << Repaired.distances()[V]
-                   << " fresh=" << FreshP.Dist[V];
+    std::vector<VertexId> FreshReached;
+    for (Count V = 0; V < PA.Snap->numNodes(); ++V)
+      if (FreshP.Dist[V] != kInfiniteDistance)
+        FreshReached.push_back(static_cast<VertexId>(V));
+    for (size_t I = 0; I < Repaired.size(); ++I) {
+      {
+        ScopedThreads Scope(RepairThreads[I]);
+        repairAfterUpdates(*PA.Snap, PA.Applied, Repaired[I], Eager,
+                           Scratch[I]);
+      }
+      const std::vector<Priority> &Got = Repaired[I].distances();
+      for (Count V = 0; V < PA.Snap->numNodes(); ++V)
+        if (Got[V] != FreshP.Dist[V]) {
+          Tag(Round) << "repair at " << RepairThreads[I]
+                     << " thread(s) diverges from recompute at internal "
+                        "vertex "
+                     << V << ": repaired=" << Got[V]
+                     << " fresh=" << FreshP.Dist[V];
+          return Fail.str();
+        }
+      const std::vector<VertexId> Reached = reachedVertices(Repaired[I]);
+      if (Reached != FreshReached ||
+          Repaired[I].numReached() !=
+              static_cast<Count>(FreshReached.size())) {
+        Tag(Round) << "repair at " << RepairThreads[I]
+                   << " thread(s) reports reach " << Repaired[I].numReached()
+                   << " and visits " << Reached.size()
+                   << " vertices, recompute reaches " << FreshReached.size();
         return Fail.str();
       }
-      if (FreshP.Dist[V] != kInfiniteDistance)
-        ++FreshFinite;
-    }
-    if (Repaired.numReached() != FreshFinite) {
-      Tag(Round) << "repaired state reports reach " << Repaired.numReached()
-                 << ", recompute reaches " << FreshFinite;
-      return Fail.str();
     }
 
     // --- PPSP spot checks (exact early exit vs full distances) ----------

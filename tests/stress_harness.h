@@ -41,6 +41,7 @@
 #ifndef GRAPHIT_TESTS_STRESS_HARNESS_H
 #define GRAPHIT_TESTS_STRESS_HARNESS_H
 
+#include "algorithms/QueryState.h"
 #include "graph/DeltaGraph.h"
 #include "graph/Reorder.h"
 #include "support/Parallel.h"
@@ -168,6 +169,13 @@ public:
 private:
   int Saved;
 };
+
+/// The vertices `State.forEachReached` visits, in visiting order.
+inline std::vector<VertexId> reachedVertices(const DistanceState &State) {
+  std::vector<VertexId> Out;
+  State.forEachReached([&Out](VertexId V, Priority) { Out.push_back(V); });
+  return Out;
+}
 
 /// One configuration point of the differential stress harness.
 struct StressConfig {

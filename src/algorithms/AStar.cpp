@@ -49,19 +49,30 @@ PPSPResult aStarRun(const GraphT &G, VertexId Source, VertexId Target,
                                           atomicLoadRelaxed(&BudgetKey));
 }
 
+/// Scale of the coordinate bound: h(v) = floor(kCoordinateScale x
+/// euclidean(v, target)).
+constexpr double kCoordinateScale = 50.0;
+
+/// Margin `aStarAdmits` asks on top of kCoordinateScale x the edge's
+/// length. Each floored estimate is off by a few ulps of kCoordinateScale
+/// x its coordinates' magnitude, far below this for coordinates under 1e9.
+constexpr double kAdmitMargin = 1e-3;
+
 /// The one definition of the coordinate bound, shared by every entry
-/// point (Graph, DeltaGraph, pooled, fresh). Edge weights are >= 100 x
-/// Euclidean length; the factor 50 leaves slack so the floor-rounded
-/// heuristic stays consistent:
-///   h(u) - h(v) <= 50 e(u,v) + 1 <= 100 e(u,v) <= w(u,v)
-/// (edge lengths are >= 0.02 units by construction). The operand is never
+/// point (Graph, DeltaGraph, pooled, fresh). It is consistent along an
+/// edge of weight w >= 50 e(u,v), because floors differ by at most the
+/// ceiling of the difference of their operands:
+///   h(u) - h(v) <= ceil(50 (|u - t| - |v - t|)) <= ceil(50 e(u,v)) <= w
+/// The road generator keeps every weight >= 100 x its length, and live
+/// upserts are held to 50 x by `aStarAdmits`. The operand is never
 /// negative, so the truncating cast is the floor; calling `std::floor`
 /// would cost a libm call per estimate on baseline x86-64 (no SSE4.1
 /// `roundsd`).
 Priority coordinateBound(const Coordinates &C, VertexId V, VertexId Target) {
   double DX = C.X[V] - C.X[Target];
   double DY = C.Y[V] - C.Y[Target];
-  return static_cast<Priority>(50.0 * std::sqrt(DX * DX + DY * DY));
+  return static_cast<Priority>(kCoordinateScale *
+                               std::sqrt(DX * DX + DY * DY));
 }
 
 } // namespace
@@ -69,6 +80,16 @@ Priority coordinateBound(const Coordinates &C, VertexId V, VertexId Target) {
 Priority graphit::aStarHeuristic(const Graph &G, VertexId V,
                                  VertexId Target) {
   return coordinateBound(G.coordinates(), V, Target);
+}
+
+bool graphit::aStarAdmits(const Coordinates &C, VertexId U, VertexId V,
+                          Weight W) {
+  if (static_cast<Count>(U) >= C.size() || static_cast<Count>(V) >= C.size())
+    return false;
+  const double DX = C.X[U] - C.X[V];
+  const double DY = C.Y[U] - C.Y[V];
+  return static_cast<double>(W) >=
+         kCoordinateScale * std::sqrt(DX * DX + DY * DY) + kAdmitMargin;
 }
 
 PPSPResult graphit::aStarSearch(const Graph &G, VertexId Source,

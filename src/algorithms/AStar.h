@@ -54,10 +54,9 @@ PPSPResult aStarSearch(const Graph &G, VertexId Source, VertexId Target,
                        const RunLimits &Limits = RunLimits{});
 
 /// Live-graph variant over a delta-overlay snapshot view
-/// (graph/DeltaGraph.h). The coordinate heuristic reads the base graph's
-/// coordinates; it stays admissible as long as every live insert/decrease
-/// respects the generator's weight ≥ 100 × Euclidean-length invariant
-/// (deletions and weight increases can never break admissibility).
+/// (graph/DeltaGraph.h). The coordinate heuristic reads the view's
+/// coordinates; it stays consistent as long as every live upsert passes
+/// `aStarAdmits` (deletions and weight increases can never break it).
 PPSPResult aStarSearch(const DeltaGraph &G, VertexId Source,
                        VertexId Target, const Schedule &S,
                        DistanceState &State,
@@ -75,6 +74,14 @@ PPSPResult aStarSearch(const ShardedDeltaView &G, VertexId Source,
 /// The coordinate heuristic used by `aStarSearch`, exposed for tests:
 /// floor(50 x euclidean distance to target).
 Priority aStarHeuristic(const Graph &G, VertexId V, VertexId Target);
+
+/// True when an edge between \p U and \p V of weight \p W keeps the
+/// coordinate heuristic consistent: W is at least 50 x their Euclidean
+/// distance plus a small margin for the rounding of the floored estimates.
+/// False when either id has no coordinates in \p C. The live query engine
+/// checks every upsert with it before serving A* with the bound
+/// (service/QueryEngine.h).
+bool aStarAdmits(const Coordinates &C, VertexId U, VertexId V, Weight W);
 
 } // namespace graphit
 

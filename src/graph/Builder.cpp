@@ -166,18 +166,21 @@ template <typename Elem> void sortRow(Elem *Lo, Elem *Hi) {
 /// Drops parallel edges from the sorted rows of one CSR direction (either
 /// layout). A row is sorted by neighbor, then weight, so each neighbor's
 /// first entry is its lightest; `unique` keeps that one. The survivors
-/// are then packed into an exactly-sized array.
+/// are then packed into an exactly-sized array; they are fewer than the
+/// entries `assembleDirection` already checked against the offset limit.
 template <typename Elem>
-void removeParallelEdges(Count NumNodes, std::vector<int64_t> &Offsets,
-                         std::vector<Elem> &Rows) {
+void removeParallelEdges(Count NumNodes, CsrArray<EdgeOffset> &Offsets,
+                         CsrArray<Elem> &Rows) {
   auto Same = [](const Elem &A, const Elem &B) { return idOf(A) == idOf(B); };
-  std::vector<int64_t> Kept(static_cast<size_t>(NumNodes) + 1, 0);
+  CsrArray<EdgeOffset> Kept(static_cast<size_t>(NumNodes) + 1);
   parallelFor(0, NumNodes, [&](Count V) {
     auto Lo = Rows.begin() + Offsets[V];
-    Kept[V] = std::unique(Lo, Rows.begin() + Offsets[V + 1], Same) - Lo;
+    Kept[V] = static_cast<EdgeOffset>(
+        std::unique(Lo, Rows.begin() + Offsets[V + 1], Same) - Lo);
   });
+  Kept[NumNodes] = 0;
   const int64_t Total = exclusivePrefixSum(Kept.data(), NumNodes + 1);
-  std::vector<Elem> Packed(static_cast<size_t>(Total));
+  CsrArray<Elem> Packed(static_cast<size_t>(Total));
   parallelFor(0, NumNodes, [&](Count V) {
     std::copy_n(Rows.begin() + Offsets[V], Kept[V + 1] - Kept[V],
                 Packed.begin() + Kept[V]);
@@ -188,18 +191,20 @@ void removeParallelEdges(Count NumNodes, std::vector<int64_t> &Offsets,
 
 /// Builds one CSR direction, \p Offsets and \p Rows (each element a
 /// `WNode` when weighted, a bare neighbor id otherwise), from the pass-1
-/// \p Counts of \p Rule's entries. Pass 2 scatters every entry straight into the final row array
-/// at per-(block, chunk) cursors, so each block's entries land in the
-/// range its rows will fill, beside a note of each entry's row. Pass 3
-/// gives each block to one thread, which lays out its rows' offsets,
-/// reorders the block's range row by row and sorts each row. Every cursor
-/// is private to one chunk or one block, so no step needs an atomic. When
-/// \p Last, the input list is released once scattered.
+/// \p Counts of \p Rule's entries. Pass 2 scatters every entry straight
+/// into the final row array at per-(block, chunk) cursors, so each block's
+/// entries land in the range its rows will fill, beside a note of each
+/// entry's row. Pass 3 gives each block to one thread, which lays out its
+/// rows' offsets, reorders the block's range row by row and sorts each
+/// row. Every cursor is private to one chunk or one block, so no step
+/// needs an atomic, and each array is written once: both are allocated
+/// uninitialized (`CsrArray`). When \p Last, the input list is released
+/// once scattered.
 template <typename Elem>
 void assembleDirection(std::vector<Edge> &Edges, const Partition &P,
                        const EntryRule &Rule, std::vector<int64_t> Counts,
-                       bool Dedup, bool Last, std::vector<int64_t> &Offsets,
-                       std::vector<Elem> &Rows) {
+                       bool Dedup, bool Last, CsrArray<EdgeOffset> &Offsets,
+                       CsrArray<Elem> &Rows) {
   const Count NB = P.NumBlocks;
   // Counts become cursors in block-major order, so each block's entries
   // are contiguous and land where its rows start in the final CSR.
@@ -215,8 +220,10 @@ void assembleDirection(std::vector<Edge> &Edges, const Partition &P,
     }
   }
   BlockStart[NB] = Total;
+  checkEdgeOffsetLimit(Total, "GraphBuilder");
 
-  // Pass 2. The row notes are left uninitialized: each is written once.
+  // Pass 2. Rows and row notes are left uninitialized: each is written
+  // once.
   Rows.resize(static_cast<size_t>(Total));
   std::unique_ptr<uint16_t[]> RowOf(new uint16_t[static_cast<size_t>(Total)]);
   forEachPart(P.NumChunks, P.Parallel, [&](Count C) {
@@ -232,24 +239,26 @@ void assembleDirection(std::vector<Edge> &Edges, const Partition &P,
   if (Last)
     std::vector<Edge>().swap(Edges);
 
-  // Pass 3. Within a block, Off[V] counts row V's degree, then serves as
-  // its write cursor into a copy of the block (ending at the row's end),
-  // and finally holds its start.
-  Offsets.assign(static_cast<size_t>(P.NumNodes) + 1, 0);
+  // Pass 3. Within a block, Off[V] counts row V's degree (from zero, so
+  // the block zeroes its own slice), then serves as its write cursor into
+  // a copy of the block (ending at the row's end), and finally holds its
+  // start. The limit check above keeps every value in range.
+  Offsets.resize(static_cast<size_t>(P.NumNodes) + 1);
   std::vector<char> HasParallel(static_cast<size_t>(NB), 0);
   forEachPart(NB, P.Parallel, [&](Count B) {
     const Count First = B << P.BlockBits;
     const Count NumRows =
         std::min(P.NumNodes - First, Count{1} << P.BlockBits);
-    int64_t *Off = Offsets.data() + First;
+    EdgeOffset *Off = Offsets.data() + First;
     const int64_t Lo = BlockStart[B], Size = BlockStart[B + 1] - Lo;
     Elem *Range = Rows.data() + Lo;
     const uint16_t *Notes = RowOf.get() + Lo;
+    std::fill_n(Off, NumRows, EdgeOffset{0});
     for (int64_t I = 0; I < Size; ++I)
       ++Off[Notes[I]];
-    int64_t Start = 0;
+    EdgeOffset Start = 0;
     for (Count V = 0; V < NumRows; ++V) {
-      const int64_t Degree = Off[V];
+      const EdgeOffset Degree = Off[V];
       Off[V] = Start;
       Start += Degree;
     }
@@ -259,17 +268,17 @@ void assembleDirection(std::vector<Edge> &Edges, const Partition &P,
     bool Parallel = false;
     Start = 0;
     for (Count V = 0; V < NumRows; ++V) {
-      const int64_t RowEnd = Off[V];
-      Off[V] = Lo + Start;
+      const EdgeOffset RowEnd = Off[V];
+      Off[V] = static_cast<EdgeOffset>(Lo + Start);
       sortRow(Block.get() + Start, Block.get() + RowEnd);
-      for (int64_t I = Start + 1; Dedup && I < RowEnd; ++I)
+      for (EdgeOffset I = Start + 1; Dedup && I < RowEnd; ++I)
         Parallel |= idOf(Block[I - 1]) == idOf(Block[I]);
       Start = RowEnd;
     }
     std::copy_n(Block.get(), Size, Range);
     HasParallel[B] = Parallel;
   });
-  Offsets[P.NumNodes] = Total;
+  Offsets[P.NumNodes] = static_cast<EdgeOffset>(Total);
   RowOf.reset();
   if (std::find(HasParallel.begin(), HasParallel.end(), 1) !=
       HasParallel.end())
@@ -324,16 +333,16 @@ Graph GraphBuilder::build(Count NumNodes, std::vector<Edge> Edges) const {
   auto Fill = [&](auto &OutRows, auto &InRows) {
     assembleDirection(Edges, P, OutRule, std::move(OutCounts),
                       Options.RemoveDuplicates, /*Last=*/!WithIn,
-                      G.OutOffsets, OutRows);
+                      G.Out.Offsets, OutRows);
     if (WithIn)
       assembleDirection(Edges, P, InRule, countEntries(Edges, P, InRule),
-                        Options.RemoveDuplicates, /*Last=*/true, G.InOffsets,
-                        InRows);
+                        Options.RemoveDuplicates, /*Last=*/true,
+                        G.In.Offsets, InRows);
   };
   if (G.Weighted)
-    Fill(G.OutAdj, G.InAdj);
+    Fill(G.Out.Adj, G.In.Adj);
   else
-    Fill(G.OutIds, G.InIds);
-  G.NumEdges = static_cast<Count>(G.OutOffsets.back());
+    Fill(G.Out.Ids, G.In.Ids);
+  G.NumEdges = static_cast<Count>(G.Out.Offsets.back());
   return G;
 }

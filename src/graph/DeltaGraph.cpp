@@ -133,35 +133,53 @@ Count DeltaGraph::clearPatchSlot(VertexId V, bool Out) {
   return Len;
 }
 
+namespace {
+
+/// Copies rows `Row(First)` .. `Row(First + NumVerts - 1)` into \p Into,
+/// offsets first, so each array is allocated once at its final size. An
+/// offset that wrapped is never used: the limit check stops the fold
+/// before the rows are filled.
+template <typename RowFn>
+void foldRows(Count First, Count NumVerts, bool Weighted, RowFn &&Row,
+              CsrRows &Into) {
+  Into.Offsets.resize(static_cast<size_t>(NumVerts) + 1);
+  Count Total = 0;
+  for (Count R = 0; R < NumVerts; ++R) {
+    Into.Offsets[R] = static_cast<EdgeOffset>(Total);
+    Total += Row(static_cast<VertexId>(First + R)).size();
+  }
+  checkEdgeOffsetLimit(Total, "DeltaGraph::foldRange");
+  Into.Offsets[NumVerts] = static_cast<EdgeOffset>(Total);
+  if (Weighted)
+    Into.Adj.resize(static_cast<size_t>(Total));
+  else
+    Into.Ids.resize(static_cast<size_t>(Total));
+  for (Count R = 0; R < NumVerts; ++R) {
+    size_t At = Into.Offsets[R];
+    for (WNode E : Row(static_cast<VertexId>(First + R))) {
+      if (Weighted)
+        Into.Adj[At++] = E;
+      else
+        Into.Ids[At++] = E.V;
+    }
+  }
+}
+
+} // namespace
+
 std::shared_ptr<const BaseSegment> DeltaGraph::foldRange(Count First,
                                                          Count NumVerts)
     const {
   auto Seg = std::make_shared<BaseSegment>();
   Seg->First = First;
   Seg->NumVerts = NumVerts;
-  Seg->OutOffsets.reserve(static_cast<size_t>(NumVerts) + 1);
-  Seg->OutOffsets.push_back(0);
-  const bool Weighted = isWeighted();
-  for (Count V = First; V < First + NumVerts; ++V) {
-    for (WNode E : outNeighbors(static_cast<VertexId>(V))) {
-      Seg->OutIds.push_back(E.V);
-      if (Weighted)
-        Seg->OutWs.push_back(E.W);
-    }
-    Seg->OutOffsets.push_back(static_cast<uint64_t>(Seg->OutIds.size()));
-  }
-  if (MirrorsIn) {
-    Seg->InOffsets.reserve(static_cast<size_t>(NumVerts) + 1);
-    Seg->InOffsets.push_back(0);
-    for (Count V = First; V < First + NumVerts; ++V) {
-      for (WNode E : inNeighbors(static_cast<VertexId>(V))) {
-        Seg->InIds.push_back(E.V);
-        if (Weighted)
-          Seg->InWs.push_back(E.W);
-      }
-      Seg->InOffsets.push_back(static_cast<uint64_t>(Seg->InIds.size()));
-    }
-  }
+  foldRows(
+      First, NumVerts, isWeighted(),
+      [&](VertexId V) { return outNeighbors(V); }, Seg->Out);
+  if (MirrorsIn)
+    foldRows(
+        First, NumVerts, isWeighted(),
+        [&](VertexId V) { return inNeighbors(V); }, Seg->In);
   return Seg;
 }
 

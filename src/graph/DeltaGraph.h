@@ -81,22 +81,24 @@ struct AppliedUpdate {
 /// a sharded store fold one shard in O(shard) instead of rebuilding the
 /// whole O(V + E) base.
 ///
+/// A segment's rows use `Graph`'s row format (`CsrRows`, graph/Graph.h):
+/// 4-byte offsets (one per covered vertex, plus one) and interleaved
+/// (id, weight) rows when weighted, so a folded row reads exactly like a
+/// base row — one packed stream — and costs the same 4 bytes per vertex
+/// plus 8 bytes per weighted entry (4 unweighted). A fold fails loudly past
+/// 2^32 - 1 entries in one direction (`checkEdgeOffsetLimit`).
+///
 /// Segments are always held by `shared_ptr` (snapshot copies share them);
 /// never let a raw `BaseSegment*` escape a pinned snapshot — the linter's
 /// pin-escape rule enforces this.
 struct BaseSegment {
   Count First = 0;    ///< first vertex id the segment covers
   Count NumVerts = 0; ///< contiguous vertices covered
-  /// Dense out-CSR for the range: row V lives at
-  /// `[OutOffsets[V - First], OutOffsets[V - First + 1])`.
-  std::vector<uint64_t> OutOffsets; ///< NumVerts + 1 entries
-  std::vector<VertexId> OutIds;
-  std::vector<Weight> OutWs; ///< parallel to OutIds; empty when unweighted
-  /// In-adjacency rows, present only when the owning graph mirrors
-  /// incoming edges (directed graphs built with in-edges).
-  std::vector<uint64_t> InOffsets;
-  std::vector<VertexId> InIds;
-  std::vector<Weight> InWs;
+  /// Out-rows of the range: vertex V's row is row `V - First`.
+  CsrRows Out;
+  /// In-rows, present only when the owning graph mirrors incoming edges
+  /// (directed graphs built with in-edges).
+  CsrRows In;
 };
 
 /// Base CSR + per-vertex patch lists with unified neighbor iteration.
@@ -373,15 +375,8 @@ private:
   }
   Graph::NeighborRange segRow(const BaseSegment &S, VertexId V,
                               bool Out) const {
-    const size_t R = static_cast<size_t>(V) - static_cast<size_t>(S.First);
-    const std::vector<uint64_t> &Offs = Out ? S.OutOffsets : S.InOffsets;
-    const std::vector<VertexId> &Ids = Out ? S.OutIds : S.InIds;
-    const std::vector<Weight> &Ws = Out ? S.OutWs : S.InWs;
-    const size_t B = static_cast<size_t>(Offs[R]);
-    const size_t E = static_cast<size_t>(Offs[R + 1]);
-    return Graph::NeighborRange{Ids.data() + B,
-                                isWeighted() ? Ws.data() + B : nullptr,
-                                static_cast<Count>(E - B)};
+    const Count R = static_cast<Count>(V) - S.First;
+    return (Out ? S.Out : S.In).row(R, isWeighted());
   }
 
   /// Drops the patch slot for \p V in one direction (segment adoption has

@@ -13,8 +13,21 @@
 #include "support/Parallel.h"
 
 #include <algorithm>
+#include <cstdio>
 
 using namespace graphit;
+
+void graphit::checkEdgeOffsetLimit(Count Entries, const char *Producer) {
+  if (Entries >= 0 && Entries <= kMaxEdgeOffset)
+    return;
+  char Message[160];
+  std::snprintf(Message, sizeof(Message),
+                "%s: %lld entries in one CSR direction exceed the 32-bit "
+                "row offset limit of %lld",
+                Producer, static_cast<long long>(Entries),
+                static_cast<long long>(kMaxEdgeOffset));
+  fatalError(Message);
+}
 
 int64_t Graph::outDegreeSum(const VertexId *Vs, Count N) const {
   if (N < 2048) {
@@ -54,47 +67,47 @@ Graph Graph::permuted(const VertexMapping &Map) const {
   R.Symmetric = Symmetric;
   R.Weighted = Weighted;
 
-  auto BuildDirection = [&](bool Out, std::vector<int64_t> &NewOff,
-                            std::vector<VertexId> &NewIds,
-                            std::vector<WNode> &NewAdj) {
-    NewOff.assign(static_cast<size_t>(NumNodes) + 1, 0);
+  auto BuildDirection = [&](bool IsOut, CsrRows &New) {
+    New.Offsets.resize(static_cast<size_t>(NumNodes) + 1);
     parallelFor(
         0, NumNodes,
         [&](Count I) {
           VertexId Old = Map.toExternal(static_cast<VertexId>(I));
-          NewOff[I] = Out ? outDegree(Old) : inDegree(Old);
+          New.Offsets[I] =
+              static_cast<EdgeOffset>(IsOut ? outDegree(Old) : inDegree(Old));
         },
         Parallelization::StaticVertexParallel);
-    NewOff[NumNodes] = 0;
-    int64_t M = exclusivePrefixSum(NewOff.data(), NumNodes + 1);
+    New.Offsets[NumNodes] = 0;
+    const int64_t M = exclusivePrefixSum(New.Offsets.data(), NumNodes + 1);
+    checkEdgeOffsetLimit(M, "Graph::permuted");
     if (Weighted)
-      NewAdj.resize(static_cast<size_t>(M));
+      New.Adj.resize(static_cast<size_t>(M));
     else
-      NewIds.resize(static_cast<size_t>(M));
+      New.Ids.resize(static_cast<size_t>(M));
     parallelFor(0, NumNodes, [&](Count I) {
       VertexId Old = Map.toExternal(static_cast<VertexId>(I));
-      NeighborRange Rg = Out ? outNeighbors(Old) : inNeighbors(Old);
-      int64_t Base = NewOff[I];
+      NeighborRange Rg = IsOut ? outNeighbors(Old) : inNeighbors(Old);
+      const size_t Base = New.Offsets[I];
       for (Count J = 0; J < Rg.size(); ++J) {
         VertexId NewNbr = Map.toInternal(Rg.id(J));
         if (Weighted)
-          NewAdj[static_cast<size_t>(Base + J)] = WNode{NewNbr, Rg.weight(J)};
+          New.Adj[Base + J] = WNode{NewNbr, Rg.weight(J)};
         else
-          NewIds[static_cast<size_t>(Base + J)] = NewNbr;
+          New.Ids[Base + J] = NewNbr;
       }
       // Re-sort each row by new neighbor id: the same deterministic layout
       // GraphBuilder produces, independent of the permutation applied.
       if (Weighted)
-        std::sort(NewAdj.begin() + Base, NewAdj.begin() + Base + Rg.size(),
+        std::sort(New.Adj.begin() + Base, New.Adj.begin() + Base + Rg.size(),
                   adjacencyRowLess);
       else
-        std::sort(NewIds.begin() + Base, NewIds.begin() + Base + Rg.size());
+        std::sort(New.Ids.begin() + Base, New.Ids.begin() + Base + Rg.size());
     });
   };
 
-  BuildDirection(true, R.OutOffsets, R.OutIds, R.OutAdj);
+  BuildDirection(true, R.Out);
   if (!Symmetric && hasInEdges())
-    BuildDirection(false, R.InOffsets, R.InIds, R.InAdj);
+    BuildDirection(false, R.In);
 
   if (hasCoordinates()) {
     R.Coords.X.resize(static_cast<size_t>(NumNodes));

@@ -19,6 +19,13 @@
 /// packed id array. `NeighborRange` abstracts over both layouts (and over
 /// `DeltaGraph`'s split patch lists) with a stride.
 ///
+/// Size: each stored direction costs 4 bytes per vertex of row offsets
+/// (`EdgeOffset`) plus 8 bytes per entry when weighted, 4 when not. A
+/// symmetric graph stores one direction; a directed graph built with
+/// in-edges stores two. One direction holds at most 2^32 - 1 entries
+/// (`kMaxEdgeOffset`); every producer fails loudly past that
+/// (`checkEdgeOffsetLimit`), and there is no 64-bit fallback.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRAPHIT_GRAPH_GRAPH_H
@@ -28,6 +35,8 @@
 #include "support/Types.h"
 
 #include <cassert>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace graphit {
@@ -70,12 +79,125 @@ struct Coordinates {
 
 class VertexMapping; // graph/Reorder.h
 
+/// Lightweight range of WNode for range-for iteration, generic over the
+/// two physical layouts:
+///
+///  * split — `Ids` (and optionally `Weights`) are packed arrays, the
+///    layout of unweighted rows and `DeltaGraph` patch lists;
+///  * packed — `Packed` points at interleaved (id, weight) pairs, the
+///    layout of weighted rows.
+///
+/// The layout test is a pointer null-check — one perfectly-predicted
+/// branch per access with constant-scale indexing on both sides (a
+/// runtime stride would put an integer multiply in every hot loop).
+/// `id(I)`/`weight(I)` give indexed access for loops that look ahead
+/// (software prefetch of the I+k-th neighbor's distance word).
+struct NeighborRange {
+  const VertexId *Ids;   ///< split layout ids (null when packed)
+  const Weight *Weights; ///< split layout weights; null -> weight 1
+  Count N;
+  const WNode *Packed = nullptr; ///< interleaved layout
+
+  VertexId id(Count I) const { return Packed ? Packed[I].V : Ids[I]; }
+  Weight weight(Count I) const {
+    if (Packed)
+      return Packed[I].W;
+    return Weights ? Weights[I] : Weight{1};
+  }
+
+  struct Iterator {
+    const VertexId *Ids;
+    const Weight *Weights;
+    const WNode *Packed;
+    Count I;
+    WNode operator*() const {
+      if (Packed)
+        return Packed[I];
+      return WNode{Ids[I], Weights ? Weights[I] : Weight{1}};
+    }
+    Iterator &operator++() {
+      ++I;
+      return *this;
+    }
+    bool operator!=(const Iterator &O) const { return I != O.I; }
+  };
+  Iterator begin() const { return Iterator{Ids, Weights, Packed, 0}; }
+  Iterator end() const { return Iterator{Ids, Weights, Packed, N}; }
+  Count size() const { return N; }
+};
+
+/// Allocator of CSR arrays: `resize` default-initializes the new elements
+/// instead of value-initializing them, so a producer that writes every
+/// element once (the builder's scatter, `Graph::permuted`) does not zero
+/// the array on one thread first. Elements are trivial types.
+template <typename T> struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U> struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U> &) noexcept {}
+
+  template <typename U> void construct(U *P) noexcept {
+    ::new (static_cast<void *>(P)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U *P, Args &&...A) {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+  }
+};
+
+/// One array of a CSR direction: row offsets or row entries.
+template <typename T>
+using CsrArray = std::vector<T, DefaultInitAllocator<T>>;
+
+/// One direction of CSR adjacency, the row format of `Graph` and of
+/// `DeltaGraph`'s folded segments: row R is entries
+/// `[Offsets[R], Offsets[R + 1])` of `Adj` (interleaved (id, weight)
+/// pairs) when weighted, of `Ids` otherwise; the other array stays empty.
+/// An absent direction has no offsets at all.
+struct CsrRows {
+  CsrArray<EdgeOffset> Offsets; ///< rows + 1 entries, non-decreasing
+  CsrArray<VertexId> Ids;       ///< unweighted layout
+  CsrArray<WNode> Adj;          ///< weighted (interleaved) layout
+
+  Count degree(Count R) const { return Offsets[R + 1] - Offsets[R]; }
+
+  NeighborRange row(Count R, bool Weighted) const {
+    const EdgeOffset Lo = Offsets[R];
+    const Count Deg = Offsets[R + 1] - Lo;
+    if (Weighted)
+      return NeighborRange{nullptr, nullptr, Deg, Adj.data() + Lo};
+    return NeighborRange{Ids.data() + Lo, nullptr, Deg};
+  }
+
+  /// Prefetches row R: its offset word and, reading the offset (which a
+  /// longer-lookahead caller has usually already pulled in), the head of
+  /// the row itself.
+  void prefetchRow(Count R, bool Weighted) const {
+    prefetchRead(&Offsets[R]);
+    const EdgeOffset Lo = Offsets[R];
+    if (Weighted)
+      prefetchRead(Adj.data() + Lo);
+    else if (!Ids.empty())
+      prefetchRead(Ids.data() + Lo);
+  }
+};
+
+/// The one entry-limit check: fails loudly unless one CSR direction of
+/// \p Entries entries fits `EdgeOffset`. Every producer of CSR rows (the
+/// builder, `Graph::permuted`, the binary loader and segment folds) calls
+/// it before it narrows an entry count to an offset.
+void checkEdgeOffsetLimit(Count Entries, const char *Producer);
+
 /// Immutable CSR graph. Construct through `GraphBuilder` (graph/Builder.h).
 ///
 /// For symmetric graphs the incoming adjacency aliases the outgoing one and
 /// costs no extra memory.
 class Graph {
 public:
+  using NeighborRange = graphit::NeighborRange;
+
   Graph() = default;
 
   /// Number of vertices.
@@ -87,77 +209,26 @@ public:
   /// True if the graph carries per-edge weights (otherwise weight()==1).
   bool isWeighted() const { return Weighted; }
   /// True if incoming adjacency is available (always true for symmetric).
-  bool hasInEdges() const { return Symmetric || !InOffsets.empty(); }
+  bool hasInEdges() const { return Symmetric || !In.Offsets.empty(); }
   /// True if per-vertex coordinates are attached.
   bool hasCoordinates() const { return !Coords.empty(); }
 
   Count outDegree(VertexId V) const {
     assert(V < NumNodes && "vertex out of range");
-    return OutOffsets[V + 1] - OutOffsets[V];
+    return Out.degree(V);
   }
 
   Count inDegree(VertexId V) const {
     assert(hasInEdges() && "graph built without incoming adjacency");
     if (Symmetric)
       return outDegree(V);
-    return InOffsets[V + 1] - InOffsets[V];
+    return In.degree(V);
   }
-
-  /// Lightweight range of WNode for range-for iteration, generic over the
-  /// two physical layouts:
-  ///
-  ///  * split — `Ids` (and optionally `Weights`) are packed arrays, the
-  ///    layout of unweighted graphs and `DeltaGraph` patch lists;
-  ///  * packed — `Packed` points at interleaved (id, weight) pairs, the
-  ///    layout of weighted CSR adjacency.
-  ///
-  /// The layout test is a pointer null-check — one perfectly-predicted
-  /// branch per access with constant-scale indexing on both sides (a
-  /// runtime stride would put an integer multiply in every hot loop).
-  /// `id(I)`/`weight(I)` give indexed access for loops that look ahead
-  /// (software prefetch of the I+k-th neighbor's distance word).
-  struct NeighborRange {
-    const VertexId *Ids;   ///< split layout ids (null when packed)
-    const Weight *Weights; ///< split layout weights; null -> weight 1
-    Count N;
-    const WNode *Packed = nullptr; ///< interleaved layout
-
-    VertexId id(Count I) const { return Packed ? Packed[I].V : Ids[I]; }
-    Weight weight(Count I) const {
-      if (Packed)
-        return Packed[I].W;
-      return Weights ? Weights[I] : Weight{1};
-    }
-
-    struct Iterator {
-      const VertexId *Ids;
-      const Weight *Weights;
-      const WNode *Packed;
-      Count I;
-      WNode operator*() const {
-        if (Packed)
-          return Packed[I];
-        return WNode{Ids[I], Weights ? Weights[I] : Weight{1}};
-      }
-      Iterator &operator++() {
-        ++I;
-        return *this;
-      }
-      bool operator!=(const Iterator &O) const { return I != O.I; }
-    };
-    Iterator begin() const { return Iterator{Ids, Weights, Packed, 0}; }
-    Iterator end() const { return Iterator{Ids, Weights, Packed, N}; }
-    Count size() const { return N; }
-  };
 
   /// Outgoing neighbors of \p V with weights.
   NeighborRange outNeighbors(VertexId V) const {
     assert(V < NumNodes && "vertex out of range");
-    int64_t Lo = OutOffsets[V];
-    Count Deg = OutOffsets[V + 1] - Lo;
-    if (Weighted)
-      return NeighborRange{nullptr, nullptr, Deg, OutAdj.data() + Lo};
-    return NeighborRange{OutIds.data() + Lo, nullptr, Deg};
+    return Out.row(V, Weighted);
   }
 
   /// Incoming neighbors of \p V with weights. For symmetric graphs this is
@@ -166,30 +237,17 @@ public:
     if (Symmetric)
       return outNeighbors(V);
     assert(hasInEdges() && "graph built without incoming adjacency");
-    int64_t Lo = InOffsets[V];
-    Count Deg = InOffsets[V + 1] - Lo;
-    if (Weighted)
-      return NeighborRange{nullptr, nullptr, Deg, InAdj.data() + Lo};
-    return NeighborRange{InIds.data() + Lo, nullptr, Deg};
+    return In.row(V, Weighted);
   }
 
   /// Per-vertex coordinates; empty() unless the generator/loader attached
   /// them.
   const Coordinates &coordinates() const { return Coords; }
 
-  /// Prefetches the out-adjacency row of \p V: the offsets word, and —
-  /// reading the offset, which a longer-lookahead caller has usually
-  /// already pulled in — the head of the row itself. Used by the eager
-  /// engine's frontier lookahead so a vertex's row is in flight before its
-  /// relaxation starts.
-  void prefetchOutRow(VertexId V) const {
-    prefetchRead(&OutOffsets[V]);
-    int64_t Lo = OutOffsets[V];
-    if (Weighted)
-      prefetchRead(OutAdj.data() + Lo);
-    else if (!OutIds.empty())
-      prefetchRead(OutIds.data() + Lo);
-  }
+  /// Prefetches the out-adjacency row of \p V (CsrRows::prefetchRow). Used
+  /// by the eager engine's frontier lookahead so a vertex's row is in
+  /// flight before its relaxation starts.
+  void prefetchOutRow(VertexId V) const { Out.prefetchRow(V, Weighted); }
 
   /// Sum of out-degrees over a set of vertices; used by the direction
   /// optimization to estimate frontier work.
@@ -215,13 +273,8 @@ private:
   bool Symmetric = false;
   bool Weighted = false;
 
-  std::vector<int64_t> OutOffsets{0};
-  std::vector<VertexId> OutIds; ///< unweighted layout
-  std::vector<WNode> OutAdj;    ///< weighted (interleaved) layout
-
-  std::vector<int64_t> InOffsets;
-  std::vector<VertexId> InIds;
-  std::vector<WNode> InAdj;
+  CsrRows Out{CsrArray<EdgeOffset>(1, 0), {}, {}};
+  CsrRows In; ///< directed graphs built with in-edges only
 
   Coordinates Coords;
 };

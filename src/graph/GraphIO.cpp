@@ -191,14 +191,45 @@ void writeVec(std::FILE *F, const std::vector<T> &V) {
     std::fwrite(V.data(), sizeof(T), N, F);
 }
 
-template <typename T> std::vector<T> readVec(std::FILE *F) {
+template <typename VecT> VecT readVec(std::FILE *F) {
   uint64_t N = 0;
   if (std::fread(&N, sizeof(N), 1, F) != 1)
     fatalError("truncated binary graph");
-  std::vector<T> V(N);
-  if (N && std::fread(V.data(), sizeof(T), N, F) != N)
+  VecT V(N);
+  if (N && std::fread(V.data(), sizeof(typename VecT::value_type), N, F) != N)
     fatalError("truncated binary graph");
   return V;
+}
+
+/// Checks that a binary image's out-CSR holds together before any offset
+/// is narrowed to `EdgeOffset` or used as an index; each failure names its
+/// check.
+void checkBinaryImage(uint64_t NumNodes, uint64_t NumEdges,
+                      const std::vector<int64_t> &Offsets,
+                      const CsrArray<VertexId> &Neighbors,
+                      const std::vector<Weight> &Weights,
+                      const Coordinates &Coords) {
+  if (Offsets.empty() || Offsets.size() - 1 != NumNodes)
+    fatalError("binary graph: offset count != vertex count + 1");
+  if (Offsets[0] != 0)
+    fatalError("binary graph: first offset is not 0");
+  for (size_t V = 0; V < NumNodes; ++V)
+    if (Offsets[V + 1] < Offsets[V])
+      fatalError("binary graph: offsets decrease");
+  const int64_t Last = Offsets.back();
+  checkEdgeOffsetLimit(Last, "binary graph");
+  if (static_cast<uint64_t>(Last) != Neighbors.size())
+    fatalError("binary graph: last offset != neighbor count");
+  if (static_cast<uint64_t>(Last) != NumEdges)
+    fatalError("binary graph: last offset != header edge count");
+  if (!Weights.empty() && Weights.size() != Neighbors.size())
+    fatalError("binary graph: weight count != neighbor count");
+  for (VertexId U : Neighbors)
+    if (U >= NumNodes)
+      fatalError("binary graph: neighbor id >= vertex count");
+  if ((!Coords.X.empty() && Coords.X.size() != NumNodes) ||
+      (!Coords.Y.empty() && Coords.Y.size() != NumNodes))
+    fatalError("binary graph: coordinate count != vertex count");
 }
 
 } // namespace
@@ -241,30 +272,30 @@ Graph graphit::loadBinaryGraph(const char *Path) {
   if (std::fread(Header, sizeof(Header), 1, F.get()) != 1)
     fatalError("truncated binary graph");
 
-  std::vector<int64_t> OutOffsets = readVec<int64_t>(F.get());
-  std::vector<VertexId> OutNeighbors = readVec<VertexId>(F.get());
-  std::vector<Weight> OutWeights = readVec<Weight>(F.get());
+  auto OutOffsets = readVec<std::vector<int64_t>>(F.get());
+  auto OutNeighbors = readVec<CsrArray<VertexId>>(F.get());
+  auto OutWeights = readVec<std::vector<Weight>>(F.get());
   Coordinates Coords;
-  Coords.X = readVec<double>(F.get());
-  Coords.Y = readVec<double>(F.get());
+  Coords.X = readVec<std::vector<double>>(F.get());
+  Coords.Y = readVec<std::vector<double>>(F.get());
+  checkBinaryImage(Header[0], Header[1], OutOffsets, OutNeighbors,
+                   OutWeights, Coords);
 
   // Rebuild through the CSR fields directly (friend access). The on-disk
-  // format keeps split id/weight arrays for compatibility; weighted graphs
-  // are interleaved into the in-memory (id, weight) layout here.
+  // format keeps 64-bit offsets and split id/weight arrays; offsets are
+  // narrowed and weighted rows interleaved into the in-memory layout here.
   Graph G;
   G.NumNodes = static_cast<Count>(Header[0]);
   G.NumEdges = static_cast<Count>(Header[1]);
   G.Symmetric = Header[2] != 0;
   G.Weighted = !OutWeights.empty();
-  G.OutOffsets = std::move(OutOffsets);
+  G.Out.Offsets.assign(OutOffsets.begin(), OutOffsets.end());
   if (G.Weighted) {
-    if (OutWeights.size() != OutNeighbors.size())
-      fatalError("binary graph: weight count != neighbor count");
-    G.OutAdj.resize(OutNeighbors.size());
+    G.Out.Adj.resize(OutNeighbors.size());
     for (size_t I = 0; I < OutNeighbors.size(); ++I)
-      G.OutAdj[I] = WNode{OutNeighbors[I], OutWeights[I]};
+      G.Out.Adj[I] = WNode{OutNeighbors[I], OutWeights[I]};
   } else {
-    G.OutIds = std::move(OutNeighbors);
+    G.Out.Ids = std::move(OutNeighbors);
   }
   G.Coords = std::move(Coords);
   if (!G.Symmetric) {
@@ -279,9 +310,7 @@ Graph graphit::loadBinaryGraph(const char *Path) {
     Options.RemoveDuplicates = false;
     Options.Weighted = G.Weighted;
     Graph Rebuilt = GraphBuilder(Options).build(G.NumNodes, std::move(Edges));
-    G.InOffsets = std::move(Rebuilt.InOffsets);
-    G.InIds = std::move(Rebuilt.InIds);
-    G.InAdj = std::move(Rebuilt.InAdj);
+    G.In = std::move(Rebuilt.In);
   }
   return G;
 }

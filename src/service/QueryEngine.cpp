@@ -87,6 +87,18 @@ BasicQueryEngine<StoreT>::applyUpdates(const std::vector<EdgeUpdate> &Batch) {
         LandmarksRetired.store(true);
         break;
       }
+  // The coordinate bound likewise, against the coordinates the upserts
+  // will be read with (tail vertices included).
+  if (coordinateBoundUsable()) {
+    const typename StoreT::Snapshot Snap = Store->current();
+    for (const EdgeUpdate &U : Batch)
+      if (U.Kind == UpdateKind::Upsert &&
+          !aStarAdmits(Snap->coordinates(), Map->toInternal(U.Src),
+                       Map->toInternal(U.Dst), U.W)) {
+        CoordinatesRetired.store(true);
+        break;
+      }
+  }
   typename StoreT::ApplyResult R = Store->applyUpdates(Batch);
   // A rejected strict batch published nothing: hot states are still at
   // the current version and stay serveable — repairing (which expects to
@@ -590,11 +602,12 @@ QueryResult BasicQueryEngine<StoreT>::runOneOn(
       // per-relaxation estimate then avoids K scattered |V|-vector reads.
       LandmarkCache::TargetBound Bound = Landmarks->boundFor(Q.Target);
       P = aStarSearch(G, Q.Source, Q.Target, S, State, &Bound, Limits);
-    } else if (HasCoordinates) {
+    } else if (coordinateBoundUsable()) {
       P = aStarSearch(G, Q.Source, Q.Target, S, State, nullptr, Limits);
     } else {
-      // Landmarks lapsed and there is no coordinate bound: degrade to
-      // plain PPSP (identical answers, no pruning) rather than fail.
+      // Landmarks lapsed and there is no (or a retired) coordinate bound:
+      // degrade to plain PPSP (identical answers, no pruning) rather than
+      // fail.
       P = pointToPointShortestPath(G, Q.Source, Q.Target, S, State, Limits);
     }
     R.Dist = P.Dist;

@@ -204,6 +204,12 @@ public:
   /// PPSP without coordinates). Compactions change nothing. The check
   /// sees only batches applied through this engine — route updates through
   /// the engine, not the store, when landmarks are enabled.
+  ///
+  /// The coordinate bound is kept the same way: `applyUpdates` checks each
+  /// upsert with `aStarAdmits` (weight >= 50 x the endpoints' Euclidean
+  /// distance), and the first one it refuses retires the bound for good
+  /// before the store publishes; A* then runs as plain PPSP unless
+  /// landmarks still serve.
   BasicQueryEngine(StoreT &Store, Options Opts = {});
 
   ~BasicQueryEngine();
@@ -305,6 +311,13 @@ public:
     return Landmarks && !LandmarksRetired.load();
   }
 
+  /// True while A* queries may use the coordinate bound: the graph has
+  /// coordinates and, in live mode, every upsert so far kept the bound
+  /// consistent (`aStarAdmits`).
+  bool coordinateBoundUsable() const {
+    return HasCoordinates && !CoordinatesRetired.load();
+  }
+
   /// The external-to-internal id mapping in effect (identity unless the
   /// engine or its store reorders).
   const VertexMapping &mapping() const { return *Map; }
@@ -384,6 +397,9 @@ private:
   /// might not bound. Pinning and publishing share the store's lock, so a
   /// query that pins that version sees the flag.
   std::atomic<bool> LandmarksRetired{false};
+  /// One-way, like LandmarksRetired: set before the store publishes the
+  /// first upsert `aStarAdmits` refuses.
+  std::atomic<bool> CoordinatesRetired{false};
   /// Serializes engine-routed universe growth, so growUniverse's
   /// before/after size comparison sees only its own store call. (The hot
   /// cache's internal locks are leaves reached from under it via

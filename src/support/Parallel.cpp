@@ -25,14 +25,17 @@ void graphit::setNumWorkers(int NumWorkers) {
   omp_set_num_threads(NumWorkers);
 }
 
-int64_t graphit::exclusivePrefixSum(int64_t *Values, Count N) {
+namespace {
+
+/// The blocked prefix sum over either element type; sums run in 64 bits.
+template <typename T> int64_t prefixSum(T *Values, Count N) {
   if (N == 0)
     return 0;
   if (N < 4096) {
     int64_t Running = 0;
     for (Count I = 0; I < N; ++I) {
       int64_t V = Values[I];
-      Values[I] = Running;
+      Values[I] = static_cast<T>(Running);
       Running += V;
     }
     return Running;
@@ -73,7 +76,7 @@ int64_t graphit::exclusivePrefixSum(int64_t *Values, Count N) {
       int64_t Prefix = BlockTotals[B];
       for (Count I = Lo; I < Hi; ++I) {
         int64_t V = Values[I];
-        Values[I] = Prefix;
+        Values[I] = static_cast<T>(Prefix);
         Prefix += V;
       }
     }
@@ -81,4 +84,14 @@ int64_t graphit::exclusivePrefixSum(int64_t *Values, Count N) {
   }
   GRAPHIT_OMP_REGION_EXIT(&Tag);
   return Running;
+}
+
+} // namespace
+
+int64_t graphit::exclusivePrefixSum(int64_t *Values, Count N) {
+  return prefixSum(Values, N);
+}
+
+int64_t graphit::exclusivePrefixSum(EdgeOffset *Values, Count N) {
+  return prefixSum(Values, N);
 }

@@ -134,6 +134,10 @@ int64_t parallelMin(Count Begin, Count End, int64_t Identity, Fn &&Body) {
 /// Exclusive prefix sum of \p Values in place; \returns the grand total.
 /// Two-pass blocked algorithm, O(n) work.
 int64_t exclusivePrefixSum(int64_t *Values, Count N);
+/// The same over CSR row offsets. The total is summed in 64 bits, so a
+/// caller can check it with `checkEdgeOffsetLimit` (graph/Graph.h); the
+/// stored prefixes wrap past that limit.
+int64_t exclusivePrefixSum(EdgeOffset *Values, Count N);
 
 /// Exclusive prefix sum over a vector, returning the total.
 inline int64_t exclusivePrefixSum(std::vector<int64_t> &Values) {

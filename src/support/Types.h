@@ -8,9 +8,10 @@
 /// \file
 /// Fundamental integer types shared across the whole library.
 ///
-/// Vertex identifiers are 32-bit (the paper's largest graph has 125M
-/// vertices), edge offsets are 64-bit, and both edge weights and priorities
-/// are 64-bit so that path lengths and coarsened priorities never overflow.
+/// Vertex identifiers and CSR row offsets are 32-bit (the paper's largest
+/// graph has 125M vertices and 1.8B directed edges), edge weights are
+/// 32-bit, and priorities are 64-bit so that path lengths and coarsened
+/// priorities never overflow.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,15 @@ namespace graphit {
 
 /// Identifier of a vertex: a dense index in [0, numNodes).
 using VertexId = uint32_t;
+
+/// Position of a row's first entry in one direction of CSR adjacency
+/// (graph/Graph.h). A direction holds at most `kMaxEdgeOffset` entries,
+/// the limit Ligra-based frameworks keep unless built with 64-bit indices.
+using EdgeOffset = uint32_t;
+
+/// Largest entry count one CSR direction can hold.
+inline constexpr int64_t kMaxEdgeOffset =
+    std::numeric_limits<EdgeOffset>::max();
 
 /// Signed 64-bit count of vertices or edges.
 using Count = int64_t;

@@ -209,3 +209,130 @@ TEST(GraphIO, BinaryRoundTripSymmetricWithCoordinates) {
   ASSERT_TRUE(Loaded.hasCoordinates());
   EXPECT_DOUBLE_EQ(Loaded.coordinates().X[5], G.coordinates().X[5]);
 }
+
+//===----------------------------------------------------------------------===//
+// Corrupted binary images
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The fields of a binary image (64-bit offsets on disk), written one by
+/// one so a test can corrupt any of them. As given: a valid directed
+/// 2-cycle.
+struct Image {
+  uint64_t NumNodes = 2, NumEdges = 2, Symmetric = 0;
+  std::vector<int64_t> Offsets = {0, 1, 2};
+  std::vector<VertexId> Ids = {1, 0};
+  std::vector<Weight> Ws = {7, 9};
+  std::vector<double> X, Y;
+};
+
+template <typename T> void putVec(std::FILE *F, const std::vector<T> &V) {
+  const uint64_t N = V.size();
+  std::fwrite(&N, sizeof(N), 1, F);
+  if (N)
+    std::fwrite(V.data(), sizeof(T), N, F);
+}
+
+void writeImage(const std::string &Path, const Image &I) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  ASSERT_NE(F, nullptr);
+  const uint64_t Magic = 0x4752495447524448ULL; // "GRITGRDH"
+  const uint64_t Header[3] = {I.NumNodes, I.NumEdges, I.Symmetric};
+  std::fwrite(&Magic, sizeof(Magic), 1, F);
+  std::fwrite(Header, sizeof(Header), 1, F);
+  putVec(F, I.Offsets);
+  putVec(F, I.Ids);
+  putVec(F, I.Ws);
+  putVec(F, I.X);
+  putVec(F, I.Y);
+  std::fclose(F);
+}
+
+/// Loading a corrupted image dies with the message of the check it fails.
+/// These binaries start OpenMP teams, so death tests re-execute the
+/// binary instead of forking it.
+class BinaryImageDeathTest : public ::testing::Test {
+protected:
+  void SetUp() override { GTEST_FLAG_SET(death_test_style, "threadsafe"); }
+
+  void expectRejected(const Image &I, const char *Check) {
+    TempFile File(".bin");
+    writeImage(File.str(), I);
+    EXPECT_DEATH(loadBinaryGraph(File.str()), Check);
+  }
+};
+
+} // namespace
+
+TEST(GraphIO, BinaryImageAsWrittenByHandLoads) {
+  TempFile File(".bin");
+  writeImage(File.str(), Image());
+  const Graph G = loadBinaryGraph(File.str());
+  ASSERT_EQ(G.numNodes(), 2);
+  ASSERT_EQ(G.numEdges(), 2);
+  EXPECT_EQ(G.outNeighbors(0).id(0), 1u);
+  EXPECT_EQ(G.outNeighbors(1).weight(0), 9);
+  EXPECT_EQ(G.inNeighbors(0).id(0), 1u);
+}
+
+TEST_F(BinaryImageDeathTest, OffsetCountMustBeVertexCountPlusOne) {
+  Image I;
+  I.Offsets = {0, 2};
+  expectRejected(I, "offset count != vertex count");
+}
+
+TEST_F(BinaryImageDeathTest, FirstOffsetMustBeZero) {
+  Image I;
+  I.Offsets = {1, 1, 2};
+  expectRejected(I, "first offset is not 0");
+}
+
+TEST_F(BinaryImageDeathTest, OffsetsMustNotDecrease) {
+  Image I;
+  I.Offsets = {0, 3, 2};
+  expectRejected(I, "offsets decrease");
+}
+
+TEST_F(BinaryImageDeathTest, LastOffsetMustBeWithinTheLimit) {
+  Image I;
+  I.NumNodes = 1;
+  I.NumEdges = uint64_t{1} << 32;
+  I.Offsets = {0, int64_t{1} << 32};
+  I.Ids.clear();
+  I.Ws.clear();
+  expectRejected(I, "binary graph: 4294967296 entries in one CSR direction "
+                    "exceed the 32-bit row offset limit");
+}
+
+TEST_F(BinaryImageDeathTest, LastOffsetMustBeTheNeighborCount) {
+  Image I;
+  I.NumEdges = 3;
+  I.Offsets = {0, 1, 3};
+  expectRejected(I, "last offset != neighbor count");
+}
+
+TEST_F(BinaryImageDeathTest, LastOffsetMustBeTheHeaderEdgeCount) {
+  Image I;
+  I.NumEdges = 5;
+  expectRejected(I, "last offset != header edge count");
+}
+
+TEST_F(BinaryImageDeathTest, WeightsMustMatchNeighbors) {
+  Image I;
+  I.Ws = {7};
+  expectRejected(I, "weight count != neighbor count");
+}
+
+TEST_F(BinaryImageDeathTest, NeighborIdsMustBeBelowTheVertexCount) {
+  Image I;
+  I.Ids = {1, 2};
+  expectRejected(I, "neighbor id >= vertex count");
+}
+
+TEST_F(BinaryImageDeathTest, CoordinateArraysMustBeEmptyOrVertexCountLong) {
+  Image I;
+  I.X = {0.5, 1.5};
+  I.Y = {0.5};
+  expectRejected(I, "coordinate count != vertex count");
+}

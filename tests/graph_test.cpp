@@ -10,6 +10,7 @@
 #include "graph/Builder.h"
 #include "graph/Generators.h"
 #include "graph/Graph.h"
+#include "graph/Reorder.h"
 #include "support/Random.h"
 #include "support/TSanAnnotate.h"
 
@@ -240,8 +241,9 @@ TEST(Builder, MatchesReferenceForEveryOptionShapeAndThreadCount) {
   // Shapes that cross the builder's pass boundaries: no vertex, one
   // vertex, one block of rows (64) and one row either side, the first size
   // whose blocks widen (2^14 + 1), a star row longer than the insertion
-  // sort's 16 entries, a list of self-loops only, an empty list, and a
-  // dup-heavy list big enough for the parallel passes.
+  // sort's 16 entries, a list of self-loops only, an empty list, the two
+  // graph families the benchmarks build (a road grid and an R-MAT graph),
+  // and a dup-heavy list big enough for the parallel passes.
   struct Shape {
     const char *Name;
     Count N;
@@ -258,6 +260,8 @@ TEST(Builder, MatchesReferenceForEveryOptionShapeAndThreadCount) {
       {"star", 40, {}},
       {"self-loops only", 50, {{3, 3, 1}, {7, 7, 2}, {7, 7, 5}, {49, 49, 4}}},
       {"empty list", 100, {}},
+      {"road grid", 30 * 30, roadGrid(30, 30, 5).Edges},
+      {"R-MAT", 2048, rmatEdges(11, 8, 9)},
       {"dup-heavy", 3000, dupHeavyEdges(3000, 60000)},
   };
   for (VertexId V = 1; V < 40; ++V) {
@@ -325,6 +329,66 @@ TEST(Builder, SymmetrizedCopyOfDirectedGraph) {
   // Symmetrizing a symmetric graph is the identity.
   Graph S2 = S.symmetrized();
   EXPECT_EQ(S2.numEdges(), S.numEdges());
+}
+
+//===----------------------------------------------------------------------===//
+// Row format: 4-byte offsets, one entry limit
+//===----------------------------------------------------------------------===//
+
+static_assert(sizeof(EdgeOffset) == 4, "a CSR row offset is 4 bytes");
+static_assert(kMaxEdgeOffset == (int64_t{1} << 32) - 1,
+              "one direction holds at most 2^32 - 1 entries");
+
+namespace {
+
+/// Rows of \p A and \p B are equal in both stored directions.
+void expectSameRows(const Graph &A, const Graph &B) {
+  ASSERT_EQ(A.numNodes(), B.numNodes());
+  EXPECT_EQ(A.numEdges(), B.numEdges());
+  ASSERT_EQ(A.hasInEdges(), B.hasInEdges());
+  for (VertexId V = 0; V < A.numNodes(); ++V) {
+    ASSERT_EQ(rowOf(A.outNeighbors(V)), rowOf(B.outNeighbors(V)))
+        << "out-row of " << V;
+    if (A.hasInEdges()) {
+      ASSERT_EQ(rowOf(A.inNeighbors(V)), rowOf(B.inNeighbors(V)))
+          << "in-row of " << V;
+    }
+  }
+}
+
+} // namespace
+
+TEST(RowFormat, PermutedRoundTrips) {
+  std::vector<Edge> Edges = rmatEdges(11, 8, 21);
+  assignRandomWeights(Edges, 1, 100, 4);
+  const Graph Directed = GraphBuilder().build(Count{1} << 11, Edges);
+  BuildOptions O;
+  O.Symmetrize = true;
+  O.Weighted = false;
+  const Graph Symmetric = GraphBuilder(O).build(Count{1} << 11, Edges);
+  for (const Graph *G : {&Directed, &Symmetric}) {
+    const VertexMapping Map = makeOrdering(*G, ReorderKind::Random, 77);
+    ASSERT_FALSE(Map.isIdentity());
+    const Graph P = G->permuted(Map);
+    for (VertexId N = 0; N < P.numNodes(); ++N)
+      EXPECT_EQ(P.outDegree(N), G->outDegree(Map.toExternal(N)));
+    std::vector<VertexId> Back(static_cast<size_t>(G->numNodes()));
+    for (VertexId V = 0; V < G->numNodes(); ++V)
+      Back[V] = Map.toInternal(V);
+    expectSameRows(
+        P.permuted(VertexMapping::fromInternalToExternal(std::move(Back))),
+        *G);
+  }
+}
+
+TEST(RowFormat, EntryLimitIsOneLoudCheck) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  checkEdgeOffsetLimit(0, "test");
+  checkEdgeOffsetLimit(kMaxEdgeOffset, "test");
+  EXPECT_DEATH(checkEdgeOffsetLimit(Count{1} << 32, "test producer"),
+               "test producer: 4294967296 entries in one CSR direction "
+               "exceed the 32-bit row offset limit");
+  EXPECT_DEATH(checkEdgeOffsetLimit(-1, "test producer"), "row offset limit");
 }
 
 //===----------------------------------------------------------------------===//

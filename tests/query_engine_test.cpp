@@ -744,9 +744,18 @@ TEST(QueryEngineLive, PermutedStoreMixedBatchRoundTrips) {
     }
     std::vector<QueryResult> Got = Engine.runBatch(Queries);
     std::vector<QueryResult> Want = Reference.runBatch(Queries);
+    // A* answers go to an exact oracle: both engines serve A* with the
+    // same bound, so comparing them would pass a bound the batch broke.
+    const Graph Exact = PlainStore.current()->compact();
     for (size_t I = 0; I < Queries.size(); ++I) {
-      EXPECT_EQ(Got[I].Dist, Want[I].Dist)
-          << "round " << Round << " query " << I;
+      if (Queries[I].Kind == QueryKind::AStar) {
+        EXPECT_EQ(Got[I].Dist,
+                  dijkstraPPSP(Exact, Queries[I].Source, Queries[I].Target))
+            << "round " << Round << " A* query " << I;
+      } else {
+        EXPECT_EQ(Got[I].Dist, Want[I].Dist)
+            << "round " << Round << " query " << I;
+      }
       ASSERT_EQ(Got[I].Reached, Want[I].Reached)
           << "round " << Round << " query " << I;
       if (Queries[I].CollectPath && Got[I].Dist < kInfiniteDistance &&
@@ -769,6 +778,62 @@ TEST(QueryEngineLive, PermutedStoreMixedBatchRoundTrips) {
       }
     }
   }
+}
+
+TEST(QueryEngineLive, AStarRetiresTheCoordinateBoundAnUpsertBreaks) {
+  // Random batches insert edges at weights 1-400 between arbitrary
+  // vertices and halve existing weights, so some upserts weigh less than
+  // 50 x their Euclidean length and the coordinate bound overestimates.
+  // A* must then run as plain PPSP and stay exact.
+  Graph G = roadWithCoords(24, 33);
+  SnapshotStore Store(G);
+  QueryEngine::Options Opts;
+  Opts.NumWorkers = 2;
+  Opts.DefaultSchedule.Delta = 2048;
+  QueryEngine Engine(Store, Opts);
+  EXPECT_TRUE(Engine.coordinateBoundUsable());
+
+  // Raised weights keep the bound.
+  std::vector<EdgeUpdate> Raise;
+  for (WNode E : G.outNeighbors(5))
+    Raise.push_back(EdgeUpdate{5, E.V, E.W * 3, UpdateKind::Upsert});
+  Engine.applyUpdates(Raise);
+  EXPECT_TRUE(Engine.coordinateBoundUsable());
+
+  SplitMix64 Rng(4243);
+  for (int Round = 0; Round < 4; ++Round) {
+    Engine.applyUpdates(randomBatch(*Store.current(), 20, Rng));
+    const Graph Exact = Store.current()->compact();
+    std::vector<Query> Queries;
+    for (int I = 0; I < 200; ++I) {
+      Query Q;
+      Q.Kind = QueryKind::AStar;
+      Q.Source = static_cast<VertexId>(Rng.nextInt(0, G.numNodes()));
+      Q.Target = static_cast<VertexId>(Rng.nextInt(0, G.numNodes()));
+      Queries.push_back(Q);
+    }
+    std::vector<QueryResult> Got = Engine.runBatch(Queries);
+    int Wrong = 0;
+    for (size_t I = 0; I < Queries.size(); ++I)
+      Wrong += Got[I].Dist !=
+               dijkstraPPSP(Exact, Queries[I].Source, Queries[I].Target);
+    EXPECT_EQ(Wrong, 0) << "round " << Round;
+  }
+  EXPECT_FALSE(Engine.coordinateBoundUsable())
+      << "the batches hold upserts below 50 x their length";
+}
+
+TEST(QueryEngineLive, AStarAdmitsUpsertsThatKeepTheBoundConsistent) {
+  Coordinates C;
+  C.X = {0.0, 3.0, 0.0};
+  C.Y = {0.0, 4.0, 0.0};
+  // 50 x a length of 5 is 250; the rounding margin asks a little more.
+  EXPECT_TRUE(aStarAdmits(C, 0, 1, 251));
+  EXPECT_TRUE(aStarAdmits(C, 1, 0, 1000));
+  EXPECT_FALSE(aStarAdmits(C, 0, 1, 249));
+  EXPECT_FALSE(aStarAdmits(C, 0, 1, 250)) << "no margin left for rounding";
+  EXPECT_TRUE(aStarAdmits(C, 0, 2, 1)) << "co-located endpoints";
+  EXPECT_FALSE(aStarAdmits(C, 0, 3, 1000)) << "an id without coordinates";
 }
 
 //===----------------------------------------------------------------------===//

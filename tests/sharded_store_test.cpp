@@ -252,6 +252,84 @@ TEST(ShardedStore, PinnedReadersSurviveCompaction) {
 }
 
 //===----------------------------------------------------------------------===//
+// Folded segments: the base row format
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Rows = std::vector<std::vector<std::pair<VertexId, Weight>>>;
+
+/// Every row of \p D in one direction.
+Rows rowsOf(const DeltaGraph &D, bool In) {
+  Rows All(static_cast<size_t>(D.numNodes()));
+  for (VertexId V = 0; V < D.numNodes(); ++V) {
+    const Graph::NeighborRange R = In ? D.inNeighbors(V) : D.outNeighbors(V);
+    EXPECT_EQ(R.size(), In ? D.inDegree(V) : D.outDegree(V));
+    for (WNode E : R)
+      All[V].push_back({E.V, E.W});
+  }
+  return All;
+}
+
+/// Folds \p D in two ranges and checks that no row changed, that weighted
+/// rows now come packed like base rows and unweighted ones as bare ids.
+void foldAndCompare(DeltaGraph &D) {
+  const bool WithIn = D.hasInEdges() && !D.isSymmetric();
+  const Rows Out = rowsOf(D, false);
+  const Rows In = WithIn ? rowsOf(D, true) : Rows();
+  const Count N = D.numNodes(), Half = N / 2 + 7;
+  D.adoptSegment(D.foldRange(0, Half));
+  D.adoptSegment(D.foldRange(Half, N - Half));
+  EXPECT_EQ(D.numSegments(), 2);
+  EXPECT_EQ(D.overlayEdges(), 0);
+  EXPECT_EQ(rowsOf(D, false), Out);
+  if (WithIn) {
+    EXPECT_EQ(rowsOf(D, true), In);
+  }
+  for (VertexId V = 0; V < N; ++V) {
+    const Graph::NeighborRange R = D.outNeighbors(V);
+    if (D.isWeighted()) {
+      EXPECT_NE(R.Packed, nullptr) << "vertex " << V;
+    } else {
+      EXPECT_TRUE(R.Packed == nullptr && R.Weights == nullptr)
+          << "vertex " << V;
+    }
+  }
+}
+
+} // namespace
+
+TEST(ShardedStore, FoldedSegmentRowsEqualTheRowsTheyReplace) {
+  std::vector<Edge> Rmat = rmatEdges(10, 6, 12);
+  assignRandomWeights(Rmat, 1, 300, 8);
+  BuildOptions Unweighted;
+  Unweighted.Weighted = false;
+  const Graph Graphs[] = {
+      roadGraph(24),
+      GraphBuilder(Unweighted).build(Count{1} << 10, Rmat),
+      GraphBuilder().build(Count{1} << 10, Rmat),
+  };
+  const char *Names[] = {"weighted symmetric road grid",
+                         "unweighted directed R-MAT with in-edges",
+                         "weighted directed R-MAT with in-edges"};
+  for (int G = 0; G < 3; ++G) {
+    SCOPED_TRACE(Names[G]);
+    ASSERT_EQ(Graphs[G].isWeighted(), G != 1);
+    DeltaGraph D(std::make_shared<const Graph>(Graphs[G]));
+    SplitMix64 Rng(900 + G);
+    // Fold patched rows, then rows patched on top of a segment, so both
+    // fold sources and a re-fold over an installed segment are covered.
+    for (int Round = 0; Round < 2; ++Round) {
+      D.apply(randomBatch(D, 60, Rng));
+      ASSERT_GT(D.overlayEdges(), 0);
+      foldAndCompare(D);
+      if (HasFatalFailure())
+        return;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Concurrency stress: writers on distinct shards + readers pinning
 // mid-publish and mid-compaction. Version vectors must stay monotone and
 // untorn; pinned snapshots must be internally consistent.

@@ -8,22 +8,19 @@
 // Command-line front door to the priority-extension compiler, mirroring
 // the paper's graphitc workflow:
 //
-//   ./dslc <program.gt> [schedule] [--run] [--source V] [--dest V]
+//   ./dslc <program.gt> [schedule] [-o out.cpp]
 //
-// Prints the analysis report and the generated C++ for the schedule
-// (default "eager_with_fusion,delta=4"). With --run, also executes the
-// program through the interpreter on a small built-in road network and
-// prints result checksums — the full parse/analyze/execute pipeline, no
-// external compiler needed.
+// Prints the analysis report, the codegen decisions and the generated C++
+// for the schedule (default "eager_with_fusion,delta=4"). With -o, writes
+// only the C++ to out.cpp; build it against libgraphit and run it as
+// `./prog graph.bin [args...]`. The build does this for every program in
+// apps/ (tests/CMakeLists.txt).
 //
 //===----------------------------------------------------------------------===//
 
 #include "dsl/Driver.h"
 
-#include "algorithms/AStar.h"
-#include "graph/Builder.h"
-#include "graph/Generators.h"
-
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -32,87 +29,58 @@ using namespace graphit;
 using namespace graphit::dsl;
 
 int main(int argc, char **argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <program.gt> [schedule] [--run] [--source V] "
-                 "[--dest V]\n",
+  std::string SchedSpec = "eager_with_fusion,delta=4";
+  const char *OutPath = nullptr;
+  bool Usable = argc >= 2;
+  for (int I = 2; I < argc; ++I) {
+    if (std::strcmp(argv[I], "-o") != 0)
+      SchedSpec = argv[I];
+    else if (I + 1 < argc)
+      OutPath = argv[++I];
+    else
+      Usable = false;
+  }
+  if (!Usable) {
+    std::fprintf(stderr, "usage: %s <program.gt> [schedule] [-o out.cpp]\n",
                  argv[0]);
     return 1;
   }
   std::string Path = argv[1];
-  std::string SchedSpec = "eager_with_fusion,delta=4";
-  bool Run = false;
-  VertexId Source = 0, Dest = 25;
-  for (int I = 2; I < argc; ++I) {
-    if (std::strcmp(argv[I], "--run") == 0)
-      Run = true;
-    else if (std::strcmp(argv[I], "--source") == 0 && I + 1 < argc)
-      Source = static_cast<VertexId>(std::atoll(argv[++I]));
-    else if (std::strcmp(argv[I], "--dest") == 0 && I + 1 < argc)
-      Dest = static_cast<VertexId>(std::atoll(argv[++I]));
-    else
-      SchedSpec = argv[I];
-  }
 
   std::string SourceText = readFileOrDie(Path);
   FrontendBundle B = runFrontend(SourceText);
   if (!B.ok()) {
-    std::fprintf(stderr, "error: %s\n", B.Error.c_str());
+    std::fprintf(stderr, "%s: error: %s\n", Path.c_str(), B.Error.c_str());
     return 1;
   }
-
-  std::printf("== analysis report ==\n");
-  for (const std::string &Note : B.Analysis.Notes)
-    std::printf("  %s\n", Note.c_str());
 
   ScheduleMap Schedules;
   Schedules[""] = Schedule::parse(SchedSpec);
   GeneratedCode Code =
       generateCpp(*B.Prog, B.Sema, B.Analysis, Schedules);
+
+  if (OutPath) {
+    std::FILE *Out = std::fopen(OutPath, "wb");
+    bool Ok = Out && std::fwrite(Code.Cpp.data(), 1, Code.Cpp.size(), Out) ==
+                         Code.Cpp.size();
+    if (Out && std::fclose(Out) != 0)
+      Ok = false;
+    if (!Ok) {
+      std::fprintf(stderr, "cannot write '%s'\n", OutPath);
+      return 1;
+    }
+    return 0;
+  }
+
+  std::printf("== analysis report ==\n");
+  for (const std::string &Note : B.Analysis.Notes)
+    std::printf("  %s\n", Note.c_str());
   std::printf("\n== codegen decisions ==\n");
   for (const std::string &Note : Code.Notes)
     std::printf("  %s\n", Note.c_str());
   std::printf("\n== generated C++ (%zu lines) ==\n",
-              std::count(Code.Cpp.begin(), Code.Cpp.end(), '\n'));
+              static_cast<size_t>(
+                  std::count(Code.Cpp.begin(), Code.Cpp.end(), '\n')));
   std::fputs(Code.Cpp.c_str(), stdout);
-
-  if (!Run)
-    return 0;
-
-  // --run: execute on a built-in road network through the interpreter.
-  std::printf("\n== interpreted run (40x40 road network) ==\n");
-  RoadNetwork Net = roadGrid(40, 40, 99);
-  BuildOptions Options;
-  Options.Symmetrize = true;
-  Graph G = GraphBuilder(Options).build(Net.NumNodes, Net.Edges,
-                                        std::move(Net.Coords));
-  InterpOptions IOpt;
-  IOpt.Schedules = Schedules;
-  IOpt.Args = {std::to_string(Source), std::to_string(Dest), "hvec"};
-  std::vector<Priority> H(static_cast<size_t>(G.numNodes()));
-  for (Count V = 0; V < G.numNodes(); ++V)
-    H[V] = aStarHeuristic(G, static_cast<VertexId>(V), Dest);
-  IOpt.VertexData["hvec"] = H;
-
-  InterpResult R = interpret(*B.Prog, B.Sema, B.Analysis, G, IOpt);
-  if (!R.Ok) {
-    std::fprintf(stderr, "interpreter error: %s\n", R.Error.c_str());
-    return 1;
-  }
-  std::printf("engine: %s; rounds=%lld\n",
-              R.UsedEagerEngine ? "eager (transformed loop)"
-                                : "facade (lazy)",
-              (long long)R.Stats.Rounds);
-  for (const auto &[Name, Vec] : R.Vectors) {
-    long long Sum = 0, Finite = 0;
-    for (Priority P : Vec) {
-      if (P >= kInfiniteDistance)
-        continue;
-      Sum += P;
-      ++Finite;
-    }
-    std::printf("vector %s: finite=%lld checksum=%lld\n", Name.c_str(),
-                Finite, Sum);
-  }
   return 0;
 }

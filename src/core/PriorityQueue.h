@@ -12,10 +12,10 @@
 /// `updatePriorityMin` / `updatePriorityMax` / `updatePrioritySum`.
 ///
 /// This facade executes the `while (pq.finished() == false)` programming
-/// pattern of Fig. 3 directly (library users and the DSL interpreter drive
-/// it); the compiled/eager execution path instead lowers the whole loop to
-/// `eagerOrderedProcess` (core/OrderedProcess.h), exactly as the compiler
-/// transformation of §5.2 does.
+/// pattern of Fig. 3 directly (library users and the code generator's
+/// facade lowering drive it); the eager execution path instead lowers the
+/// whole loop to `eagerOrderedProcess` (core/OrderedProcess.h), exactly as
+/// the compiler transformation of §5.2 does.
 ///
 /// Updates arriving from inside a parallel `applyUpdatePriority` are
 /// buffered per thread and folded into the bucket structure lazily at the

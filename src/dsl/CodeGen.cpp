@@ -8,15 +8,16 @@
 #include "dsl/CodeGen.h"
 
 #include "runtime/LazyBucketQueue.h"
-#include "support/Abort.h"
 
 #include <sstream>
 
 using namespace graphit;
 using namespace graphit::dsl;
 
-Schedule graphit::dsl::scheduleForLabel(const ScheduleMap &Map,
-                                        const std::string &Label) {
+namespace {
+
+/// Schedule for \p Label under \p Map ("" default, else Schedule()).
+Schedule scheduleForLabel(const ScheduleMap &Map, const std::string &Label) {
   auto It = Map.find(Label);
   if (It != Map.end())
     return It->second;
@@ -25,8 +26,6 @@ Schedule graphit::dsl::scheduleForLabel(const ScheduleMap &Map,
     return It->second;
   return Schedule();
 }
-
-namespace {
 
 /// Binding of a priority queue global extracted from its `new` expression.
 struct PQBinding {
@@ -104,11 +103,11 @@ private:
     line();
     line("#include \"core/OrderedProcess.h\"");
     line("#include \"core/PriorityQueue.h\"");
+    line("#include \"dsl/GeneratedSupport.h\"");
     line("#include \"graph/GraphIO.h\"");
     line("#include \"runtime/Histogram.h\"");
     line("#include \"runtime/LazyBucketQueue.h\"");
     line("#include \"runtime/Traversal.h\"");
-    line("#include \"support/Abort.h\"");
     line();
     line("#include <cstdio>");
     line("#include <cstdlib>");
@@ -116,31 +115,6 @@ private:
     line("#include <vector>");
     line();
     line("using namespace graphit;");
-    line();
-    line("namespace {");
-    line();
-    line("// Runtime helpers used by generated code.");
-    open("std::vector<Priority> genOutDegrees(const Graph &G) {");
-    line("std::vector<Priority> D(static_cast<size_t>(G.numNodes()));");
-    line("for (Count V = 0; V < G.numNodes(); ++V)");
-    line("  D[V] = G.outDegree(static_cast<VertexId>(V));");
-    line("return D;");
-    close();
-    line();
-    open("std::vector<Priority> genLoadVertexData(const char *Path,");
-    line("                                        Count NumNodes) {");
-    line("std::vector<Priority> D(static_cast<size_t>(NumNodes), 0);");
-    line("std::FILE *F = std::fopen(Path, \"r\");");
-    line("if (!F) fatalError(\"cannot open vertex data file\");");
-    line("long long V;");
-    line("Count I = 0;");
-    line("while (I < NumNodes && std::fscanf(F, \"%lld\", &V) == 1)");
-    line("  D[I++] = V;");
-    line("std::fclose(F);");
-    line("return D;");
-    close();
-    line();
-    line("} // namespace");
     line();
   }
 
@@ -216,7 +190,10 @@ private:
   void emitMain() {
     const FuncDecl *Main = Prog.findFunc("main");
     open("int main(int argc, char **argv) {");
-    line("(void)argc; (void)argv;");
+    // The body goes to a side stream first: the argument check above it
+    // names every argv[N] it reads.
+    std::ostringstream Body;
+    std::swap(Body, Out);
     // Global initializers run first (they may read argv).
     for (const auto &C : Prog.Consts)
       emitGlobalInit(*C);
@@ -225,11 +202,21 @@ private:
       for (const StmtPtr &S : Main->Body)
         emitMainStmt(*S);
     emitEpilogue();
+    std::swap(Body, Out);
+    std::string Usage;
+    for (size_t I = 1; I < ArgNames.size(); ++I)
+      Usage += " <" + (ArgNames[I].empty() ? "arg" + std::to_string(I)
+                                            : ArgNames[I]) + ">";
+    line("gen::checkArgCount(argc, argv, " +
+         std::to_string(ArgNames.empty() ? 0 : ArgNames.size() - 1) +
+         ", \"" + Usage + "\");");
+    Out << Body.str();
     line("return 0;");
     close();
   }
 
   void emitGlobalInit(const ConstDecl &C) {
+    ArgUser = C.Name;
     switch (C.DeclType.Kind) {
     case TypeKind::EdgeSet:
       if (C.Init)
@@ -262,20 +249,10 @@ private:
   void emitEpilogue() {
     line();
     line("// Result summary (checksums keep the computation observable).");
-    for (const auto &C : Prog.Consts) {
-      if (C->DeclType.Kind != TypeKind::Vector)
-        continue;
-      open("{");
-      line("long long Sum = 0, Finite = 0;");
-      open("for (size_t I = 0; I < " + C->Name + ".size(); ++I) {");
-      line("if (" + C->Name + "[I] >= kInfiniteDistance) continue;");
-      line("Sum += static_cast<long long>(" + C->Name + "[I]);");
-      line("++Finite;");
-      close();
-      line("std::printf(\"" + C->Name +
-           ": finite=%lld checksum=%lld\\n\", Finite, Sum);");
-      close();
-    }
+    for (const auto &C : Prog.Consts)
+      if (C->DeclType.Kind == TypeKind::Vector)
+        line("std::puts(gen::vectorSummary(\"" + C->Name + "\", " + C->Name +
+             ").c_str());");
   }
 
   std::string firstEdgeset() const {
@@ -285,6 +262,7 @@ private:
   //===--- main statements -------------------------------------------------===//
 
   void emitMainStmt(const Stmt &S) {
+    ArgUser.clear();
     // Priority queue construction.
     if (const auto *AS = dyn_cast<AssignStmt>(&S)) {
       if (const auto *New =
@@ -370,48 +348,36 @@ private:
     std::string Dst = F.Params.size() > 1 ? F.Params[1].Name : "gen_dst";
     std::string W = F.Params.size() > 2 ? F.Params[2].Name : "gen_weight";
 
-    open("{");
-    line("// #" + L.Label + "# eager ordered processing (Fig. 9(c))");
-    line("Schedule GenSched = Schedule::parse(\"" + S.toString() + "\");");
+    openLoop(L, S, Vec, "eager ordered processing (Fig. 9(c))");
+    line("const VertexId GenStart = " + startVertex(B) + ";");
     line("const int64_t GenDelta = " + Delta + ";");
     line("const PriorityCoarsener GenKeys = PriorityCoarsener::of(GenDelta);");
-    line("OrderedStats GenStats;");
-    // The engine hands the relax fine keys (sub-bins of a Δ-bucket). The
-    // source's priority is loaded once; the stale check and every UDF
-    // read of it use that value (core/OrderedProcess.h).
+    // The engine hands the relax fine keys (sub-bins of a Δ-bucket); the
+    // stale check uses the source priority the UDF reads.
     open("auto GenRelax = [&](VertexId " + Src +
          ", int64_t gen_curr_key, auto &&gen_push) {");
-    line("const Priority gen_src_prio = atomicLoadRelaxed(&" + Vec + "[" +
-         Src + "]);");
+    emitSourcePriority(Vec, Src);
     line("if (GenKeys.fineKey(gen_src_prio) < gen_curr_key) return;");
     open("for (WNode GenEdge : " + L.EdgesetName + ".outNeighbors(" + Src +
          ")) {");
     line("VertexId " + Dst + " = GenEdge.V; (void)" + Dst + ";");
     line("Priority " + W + " = GenEdge.W; (void)" + W + ";");
-    CurrentUpdateLowering = UpdateLowering::EagerPush;
-    CurrentVec = Vec;
-    CurrentSrc = Src;
-    for (const StmtPtr &St : F.Body)
-      emitGenericStmt(*St, &F);
-    CurrentUpdateLowering = UpdateLowering::Facade;
+    emitUDFBody(F, UpdateLowering::EagerPush);
     CurrentSrc.clear();
     close(); // for
     close("};");
-    std::string Start =
-        B.StartVertex ? exprToCpp(*B.StartVertex, nullptr) : "0";
     line("auto GenStop = " + stopLambda(L, B, "GenDelta") + ";");
     line("eagerOrderedProcess(" + L.EdgesetName +
-         ".numNodes(), static_cast<VertexId>(" + Start +
-         "), GenKeys.fineKey(" + Vec + "[static_cast<size_t>(" + Start +
-         ")]), GenSched, GenRelax, GenStop, &GenStats);");
-    line("std::printf(\"[" + L.Label +
-         "] rounds=%lld fused=%lld\\n\", (long long)GenStats.Rounds, "
-         "(long long)GenStats.FusedRounds);");
-    close();
+         ".numNodes(), GenStart, GenKeys.fineKey(" + Vec +
+         "[GenStart]), GenSched, GenRelax, GenStop, &GenStats);");
+    closeLoop(L, Vec);
   }
 
   /// Lazy lowering (Fig. 9(a)/(b)): explicit bucket loop with
-  /// direction-optimized traversal, atomics + dedup in push, none in pull.
+  /// direction-optimized traversal, atomics + dedup in push. A pull owns
+  /// its destination, so it needs no read-modify-write, but other threads
+  /// read that vertex as a source: both directions load the source and
+  /// pull stores the destination with relaxed atomics.
   void emitLazyMinLoop(const OrderedLoopInfo &L, const Schedule &S,
                        const PQBinding &B, const FuncDecl &F) {
     Result.UsedLazyEngine = true;
@@ -423,42 +389,31 @@ private:
     std::string Dst = F.Params.size() > 1 ? F.Params[1].Name : "gen_dst";
     std::string W = F.Params.size() > 2 ? F.Params[2].Name : "gen_weight";
 
-    open("{");
-    line("// #" + L.Label + "# lazy bucket updates (Fig. 9(a)/(b))");
-    line("Schedule GenSched = Schedule::parse(\"" + S.toString() + "\");");
+    openLoop(L, S, Vec, "lazy bucket updates (Fig. 9(a)/(b))");
+    line("const VertexId GenStart = " + startVertex(B) + ";");
     line("const int64_t GenDelta = " + Delta + ";");
-    line("OrderedStats GenStats;");
     line("LazyBucketQueue GenQueue(" + L.EdgesetName +
          ".numNodes(), GenSched.NumOpenBuckets, "
          "PriorityOrder::LowerFirst);");
-    std::string Start =
-        B.StartVertex ? exprToCpp(*B.StartVertex, nullptr) : "0";
-    line("GenQueue.insert(static_cast<VertexId>(" + Start + "), " + Vec +
-         "[static_cast<size_t>(" + Start + ")] / GenDelta);");
+    line("GenQueue.insert(GenStart, " + Vec + "[GenStart] / GenDelta);");
     line("TraversalBuffers GenBuffers(" + L.EdgesetName + ");");
     line("std::vector<int64_t> GenKeys;");
 
-    open("auto GenPush = [&](VertexId " + Src + ", VertexId " + Dst +
-         ", Weight gen_w) -> bool {");
-    line("Priority " + W + " = gen_w; (void)" + W + ";");
-    line("bool tracking_var = false;");
-    CurrentUpdateLowering = UpdateLowering::LazyPush;
-    CurrentVec = Vec;
-    for (const StmtPtr &St : F.Body)
-      emitGenericStmt(*St, &F);
-    line("return tracking_var;");
-    close("};");
-
-    open("auto GenPull = [&](VertexId " + Src + ", VertexId " + Dst +
-         ", Weight gen_w) -> bool {");
-    line("Priority " + W + " = gen_w; (void)" + W + ";");
-    line("bool tracking_var = false;");
-    CurrentUpdateLowering = UpdateLowering::LazyPull;
-    for (const StmtPtr &St : F.Body)
-      emitGenericStmt(*St, &F);
-    CurrentUpdateLowering = UpdateLowering::Facade;
-    line("return tracking_var;");
-    close("};");
+    for (UpdateLowering Dir : {UpdateLowering::LazyPush,
+                               UpdateLowering::LazyPull}) {
+      open(std::string("auto ") +
+           (Dir == UpdateLowering::LazyPush ? "GenPush" : "GenPull") +
+           " = [&](VertexId " + Src + ", VertexId " + Dst +
+           ", Weight gen_w) -> bool {");
+      line("Priority " + W + " = gen_w; (void)" + W + ";");
+      emitSourcePriority(Vec, Src);
+      line("(void)gen_src_prio;");
+      line("bool tracking_var = false;");
+      emitUDFBody(F, Dir);
+      line("return tracking_var;");
+      close("};");
+    }
+    CurrentSrc.clear();
 
     open("while (GenQueue.nextBucket()) {");
     line("int64_t gen_curr_key = GenQueue.currentKey();");
@@ -478,9 +433,7 @@ private:
     line("GenQueue.updateBuckets(GenChanged.data(), GenKeys.data(), "
          "static_cast<Count>(GenChanged.size()));");
     close();
-    line("std::printf(\"[" + L.Label +
-         "] rounds=%lld\\n\", (long long)GenStats.Rounds);");
-    close();
+    closeLoop(L, Vec);
   }
 
   /// Histogram lowering (Fig. 10): constant-sum updates are counted per
@@ -494,10 +447,7 @@ private:
     std::string Vec = B.VectorName;
     std::string Edges = L.EdgesetName;
 
-    open("{");
-    line("// #" + L.Label + "# lazy with constant sum reduction (Fig. 10)");
-    line("Schedule GenSched = Schedule::parse(\"" + S.toString() + "\");");
-    line("OrderedStats GenStats;");
+    openLoop(L, S, Vec, "lazy with constant sum reduction (Fig. 10)");
     line("Count GenN = " + Edges + ".numNodes();");
     line("LazyBucketQueue GenQueue(GenN, GenSched.NumOpenBuckets, "
          "PriorityOrder::LowerFirst);");
@@ -565,9 +515,7 @@ private:
     line("GenQueue.updateBuckets(GenUnique.data(), GenKeys.data(), "
          "GenU);");
     close();
-    line("std::printf(\"[" + L.Label +
-         "] rounds=%lld\\n\", (long long)GenStats.Rounds);");
-    close();
+    closeLoop(L, Vec);
   }
 
   /// Generic facade lowering: always correct, no specialization.
@@ -575,27 +523,21 @@ private:
                       const PQBinding &B, const FuncDecl *F) {
     Result.UsedFacadeFallback = true;
     std::string Vec = B.Valid ? B.VectorName : "dist";
-    open("{");
-    line("// #" + L.Label + "# facade lowering (unspecialized)");
-    line("Schedule GenSched = Schedule::parse(\"" + S.toString() + "\");");
+    openLoop(L, S, Vec, "facade lowering (unspecialized)");
     std::string Order = B.Order == PriorityOrder::HigherFirst
                             ? "PriorityOrder::HigherFirst"
                             : "PriorityOrder::LowerFirst";
-    std::string Start =
-        B.StartVertex
-            ? "static_cast<VertexId>(" + exprToCpp(*B.StartVertex, nullptr) +
-                  ")"
-            : "kInvalidVertex";
     line(L.PQName + " = std::make_unique<PriorityQueue>(" +
          (B.AllowCoarsening ? "true" : "false") + ", " + Order + ", " + Vec +
-         ", GenSched, " + Start + ");");
+         ", GenSched, " + (B.StartVertex ? startVertex(B) : "kInvalidVertex") +
+         ");");
     std::string Cond =
         L.StopVertexVar.empty()
             ? "!" + L.PQName + "->finished()"
             : "!" + L.PQName + "->finished() && !" + L.PQName +
-                  "->finishedVertex(static_cast<VertexId>(" +
-                  L.StopVertexVar + "))";
+                  "->finishedVertex(GenStopVertex)";
     open("while (" + Cond + ") {");
+    line("++GenStats.Rounds;");
     line("VertexSubset GenBucket = " + L.PQName + "->dequeueReadySet();");
     if (F) {
       std::string Src = F->Params.empty() ? "gen_src" : F->Params[0].Name;
@@ -606,15 +548,61 @@ private:
       open("applyUpdatePriority(" + L.EdgesetName +
            ", GenBucket, [&](VertexId " + Src + ", VertexId " + Dst +
            ", Weight gen_w) {");
-      line("Priority " + W + " = gen_w; (void)" + W + ";");
-      CurrentUpdateLowering = UpdateLowering::Facade;
-      CurrentPQ = L.PQName;
-      for (const StmtPtr &St : F->Body)
-        emitGenericStmt(*St, F);
+      line("Priority " + W + " = gen_w; (void)" + W + "; (void)" + Src + ";");
+      emitUDFBody(*F, UpdateLowering::Facade);
       close("});");
     }
     close();
+    closeLoop(L, Vec);
+  }
+
+  /// The loop's start vertex, range-checked against its priority vector.
+  std::string startVertex(const PQBinding &B) {
+    return "gen::checkedVertex(" +
+           (B.StartVertex ? exprToCpp(*B.StartVertex, nullptr) : "0") +
+           ", " + B.VectorName + ".size())";
+  }
+
+  /// Opens the block every lowering emits its loop into, with the
+  /// schedule, the stats and the range-checked early-exit vertex.
+  void openLoop(const OrderedLoopInfo &L, const Schedule &S,
+                const std::string &Vec, const std::string &What) {
+    open("{");
+    line("// #" + L.Label + "# " + What);
+    if (!L.StopVertexVar.empty())
+      line("const VertexId GenStopVertex = gen::checkedVertex(" +
+           L.StopVertexVar + ", " + Vec + ".size());");
+    line("Schedule GenSched = Schedule::parse(\"" + S.toString() + "\");");
+    line("OrderedStats GenStats;");
+  }
+
+  /// Closes it with the report every lowering prints: rounds, and the
+  /// early-exit vertex's final priority when the loop has one.
+  void closeLoop(const OrderedLoopInfo &L, const std::string &Vec) {
+    line("gen::reportLoop(\"" + L.Label + "\", GenStats" +
+         (L.StopVertexVar.empty() ? ""
+                                  : ", GenStopVertex, " + Vec +
+                                        "[GenStopVertex]") +
+         ");");
     close();
+  }
+
+  /// The relax's one load of its source's priority (the relax contract,
+  /// core/OrderedProcess.h). Until CurrentSrc is cleared, the UDF's reads
+  /// of `Vec[Src]` use this value.
+  void emitSourcePriority(const std::string &Vec, const std::string &Src) {
+    line("const Priority gen_src_prio = atomicLoadRelaxed(&" + Vec + "[" +
+         Src + "]);");
+    CurrentVec = Vec;
+    CurrentSrc = Src;
+  }
+
+  /// Emits \p F's body with its priority updates lowered as \p Lowering.
+  void emitUDFBody(const FuncDecl &F, UpdateLowering Lowering) {
+    CurrentUpdateLowering = Lowering;
+    for (const StmtPtr &St : F.Body)
+      emitGenericStmt(*St, &F);
+    CurrentUpdateLowering = UpdateLowering::Facade;
   }
 
   std::string stopLambda(const OrderedLoopInfo &L, const PQBinding &B,
@@ -622,15 +610,16 @@ private:
     if (L.StopVertexVar.empty())
       return "[](int64_t) { return false; }";
     return "[&](int64_t GenKey) { Priority GenBest = atomicLoad(&" +
-           B.VectorName + "[static_cast<size_t>(" + L.StopVertexVar +
-           ")]); return GenBest != kInfiniteDistance && GenKey * " +
-           DeltaVar + " >= GenBest; }";
+           B.VectorName + "[GenStopVertex]); return GenBest != "
+           "kInfiniteDistance && GenKey * " + DeltaVar + " >= GenBest; }";
   }
 
   //===--- generic statement / expression translation ----------------------===//
 
   void emitGenericStmt(const Stmt &S, const FuncDecl *Ctx) {
+    ArgUser.clear();
     if (const auto *VD = dyn_cast<VarDeclStmt>(&S)) {
+      ArgUser = VD->Name;
       std::string T = VD->DeclType.Kind == TypeKind::VertexSet
                           ? "VertexSubset"
                           : cppScalarType(VD->DeclType.Kind);
@@ -706,18 +695,32 @@ private:
     if (const auto *M = dyn_cast<MethodCallExpr>(&E))
       return methodCallToCpp(*M, Ctx);
     if (const auto *Ix = dyn_cast<IndexExpr>(&E)) {
-      // argv[i] stays as-is; vectors index with a cast.
       if (const auto *BV = dyn_cast<VarRefExpr>(Ix->Base.get())) {
-        if (BV->Name == "argv")
-          return "argv[" + exprToCpp(*Ix->Index, Ctx) + "]";
-        // The eager relax's own source priority: the value it loaded.
+        if (BV->Name == "argv") {
+          // Sema admits only literal indices; main checks argc for them.
+          size_t N = static_cast<size_t>(
+              cast<IntLiteralExpr>(Ix->Index.get())->Value);
+          if (ArgNames.size() <= N)
+            ArgNames.resize(N + 1);
+          if (ArgNames[N].empty())
+            ArgNames[N] = ArgUser;
+          return "argv[" + std::to_string(N) + "]";
+        }
+        // The relax's own source priority: the value it loaded.
         const auto *IV = dyn_cast<VarRefExpr>(Ix->Index.get());
         if (!CurrentSrc.empty() && BV->Name == CurrentVec && IV &&
             IV->Name == CurrentSrc)
           return "gen_src_prio";
       }
-      return exprToCpp(*Ix->Base, Ctx) + "[static_cast<size_t>(" +
-             exprToCpp(*Ix->Index, Ctx) + ")]";
+      // Outside a relax, indices come from the command line or the
+      // program's own arithmetic: check each one. Relax and UDF bodies
+      // (Ctx set) index with ids the graph supplies.
+      std::string Base = exprToCpp(*Ix->Base, Ctx);
+      std::string Index = exprToCpp(*Ix->Index, Ctx);
+      if (!Ctx)
+        return Base + "[gen::checkedVertex(" + Index + ", " + Base +
+               ".size())]";
+      return Base + "[static_cast<size_t>(" + Index + ")]";
     }
     return "/*unsupported expr*/0";
   }
@@ -728,7 +731,7 @@ private:
     if (C.Callee == "atoi")
       return "std::atoll(" + exprToCpp(*C.Args[0], Ctx) + ")";
     if (C.Callee == "load_vertex_data")
-      return "genLoadVertexData(" + exprToCpp(*C.Args[0], Ctx) + ", " +
+      return "gen::loadVertexData(" + exprToCpp(*C.Args[0], Ctx) + ", " +
              firstEdgeset() + ".numNodes())";
     std::string Call = C.Callee + "(";
     for (size_t I = 0; I < C.Args.size(); ++I) {
@@ -751,7 +754,7 @@ private:
     // Edgeset operators.
     if (Sema.globalType(BaseName).Kind == TypeKind::EdgeSet) {
       if (M.Method == "getOutDegrees")
-        return "genOutDegrees(" + BaseName + ")";
+        return "gen::outDegrees(" + BaseName + ")";
     }
     if (M.Method == "getVertexSetSize" || M.Method == "size")
       return "static_cast<int64_t>(" + exprToCpp(*M.Base, Ctx) + ".size())";
@@ -819,10 +822,11 @@ private:
       return "tracking_var = atomicWriteMin(&" + Vec + "[" + Target +
              "], (" + NewVal + ")) || tracking_var";
     case UpdateLowering::LazyPull:
-      // Pull direction owns the destination: no atomics (Fig. 9(b)).
+      // Pull direction owns the destination: no read-modify-write
+      // (Fig. 9(b)), but a relaxed store, as other threads read it.
       return "[&]{ Priority GenNew = (" + NewVal + "); if (GenNew < " +
-             Vec + "[" + Target + "]) { " + Vec + "[" + Target +
-             "] = GenNew; tracking_var = true; } }()";
+             Vec + "[" + Target + "]) { atomicStoreRelaxed(&" + Vec + "[" +
+             Target + "], GenNew); tracking_var = true; } }()";
     }
     return "/*unreachable*/0";
   }
@@ -840,8 +844,11 @@ private:
   std::vector<std::string> EdgesetNames;
   UpdateLowering CurrentUpdateLowering = UpdateLowering::Facade;
   std::string CurrentVec;
-  std::string CurrentSrc; ///< the eager relax's source, while emitting it
-  std::string CurrentPQ;
+  std::string CurrentSrc; ///< the relax's source, while emitting its UDF
+  /// Declaration whose initializer is being emitted (names argv reads).
+  std::string ArgUser;
+  /// ArgNames[N]: the declaration that reads argv[N], for the usage line.
+  std::vector<std::string> ArgNames;
 };
 
 } // namespace

@@ -21,6 +21,10 @@
 ///  * anything else lowers to the generic PriorityQueue facade — always
 ///    correct, just not specialized.
 ///
+/// The emitted `main` checks its argument count and every vertex id it
+/// reads outside a relax, and prints each loop's rounds and each result
+/// vector's summary, through dsl/GeneratedSupport.h.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRAPHIT_DSL_CODEGEN_H
@@ -53,9 +57,6 @@ struct GeneratedCode {
 GeneratedCode generateCpp(const Program &Prog, const SemaResult &Sema,
                           const ProgramAnalysis &Analysis,
                           const ScheduleMap &Sched);
-
-/// Schedule for \p Label under \p Map ("" default, else Schedule()).
-Schedule scheduleForLabel(const ScheduleMap &Map, const std::string &Label);
 
 } // namespace dsl
 } // namespace graphit

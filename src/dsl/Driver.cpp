@@ -46,19 +46,6 @@ GeneratedCode graphit::dsl::compileSource(const std::string &Source,
   return generateCpp(*B.Prog, B.Sema, B.Analysis, Schedules);
 }
 
-InterpResult graphit::dsl::runSource(const std::string &Source,
-                                     const Graph &G,
-                                     const InterpOptions &Options) {
-  FrontendBundle B = runFrontend(Source);
-  if (!B.ok()) {
-    InterpResult R;
-    R.Ok = false;
-    R.Error = B.Error;
-    return R;
-  }
-  return interpret(*B.Prog, B.Sema, B.Analysis, G, Options);
-}
-
 std::string graphit::dsl::readFileOrDie(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "rb");
   if (!F) {

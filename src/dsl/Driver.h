@@ -7,9 +7,9 @@
 ///
 /// \file
 /// Convenience entry points combining the frontend phases: lex/parse,
-/// semantic analysis, the priority-update analyses, C++ code generation,
-/// and interpretation. Used by the `dslc` example tool, the test suite,
-/// and the Table 5 line-count benchmark.
+/// semantic analysis, the priority-update analyses, and C++ code
+/// generation. Used by the `dslc` compiler, the test suite, and the
+/// Table 5 line-count benchmark.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 
 #include "dsl/Analysis.h"
 #include "dsl/CodeGen.h"
-#include "dsl/Interpreter.h"
 #include "dsl/Parser.h"
 #include "dsl/Sema.h"
 
@@ -45,10 +44,6 @@ FrontendBundle runFrontend(const std::string &Source);
 GeneratedCode compileSource(const std::string &Source,
                             const ScheduleMap &Schedules,
                             std::string *ErrorOut = nullptr);
-
-/// Frontend + interpretation against \p G.
-InterpResult runSource(const std::string &Source, const Graph &G,
-                       const InterpOptions &Options);
 
 /// Reads a whole file; aborts on IO failure (trusted local files).
 std::string readFileOrDie(const std::string &Path);

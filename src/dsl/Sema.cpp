@@ -348,8 +348,13 @@ private:
       checkExpr(*I.Index);
     if (Base.Kind == TypeKind::Vector)
       return TypeRef(Base.Params.empty() ? TypeKind::Int : Base.Params[0]);
-    if (Base.Kind == TypeKind::String)
+    if (Base.Kind == TypeKind::String) {
+      // The generated main checks argc against the highest index read.
+      const auto *BV = dyn_cast<VarRefExpr>(I.Base.get());
+      if (BV && BV->Name == "argv" && !isa<IntLiteralExpr>(I.Index.get()))
+        error(I.loc(), "argv index must be an integer literal");
       return TypeRef(TypeKind::String); // argv[i]
+    }
     if (Base.Kind != TypeKind::Invalid)
       error(I.loc(), "type " + Base.toString() + " cannot be indexed");
     return TypeRef();

@@ -8,8 +8,8 @@
 /// \file
 /// Symbol resolution and type checking for the GraphIt subset. Annotates
 /// `Expr::Type` in place, builds the global symbol table consumed by the
-/// analyses (dsl/Analysis.h), code generator, and interpreter, and
-/// reports positioned diagnostics.
+/// analyses (dsl/Analysis.h) and the code generator, and reports
+/// positioned diagnostics.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,19 +7,14 @@
 //
 // Checks that the three Fig. 9 code-generation variants (lazy SparsePush,
 // lazy DensePull, eager) and the Fig. 10 histogram transformation are
-// produced, and that generated code actually compiles against the runtime
-// headers with a real C++ compiler.
+// produced. The build compiles and dsl_generated_test runs the generated
+// programs themselves.
 //
 //===----------------------------------------------------------------------===//
 
 #include "dsl/Driver.h"
 
 #include <gtest/gtest.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 
 using namespace graphit;
 using namespace graphit::dsl;
@@ -43,30 +38,6 @@ bool contains(const std::string &Haystack, const std::string &Needle) {
   return Haystack.find(Needle) != std::string::npos;
 }
 
-/// Writes the generated code and checks it with `g++ -fsyntax-only`.
-void expectCompiles(const GeneratedCode &Code, const std::string &Name) {
-  namespace fs = std::filesystem;
-  fs::path Dir = fs::temp_directory_path() / "graphit_codegen_test";
-  fs::create_directories(Dir);
-  fs::path File = Dir / (Name + ".cpp");
-  {
-    std::ofstream Out(File);
-    Out << Code.Cpp;
-  }
-  std::string Cmd = "g++ -std=c++20 -fopenmp -fsyntax-only -I" +
-                    std::string(GRAPHIT_SRC_DIR) + " " + File.string() +
-                    " 2> " + (Dir / (Name + ".log")).string();
-  int Rc = std::system(Cmd.c_str());
-  if (Rc != 0) {
-    std::ifstream Log(Dir / (Name + ".log"));
-    std::string Line, All;
-    while (std::getline(Log, Line))
-      All += Line + "\n";
-    FAIL() << "generated code failed to compile:\n"
-           << All.substr(0, 4000);
-  }
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -84,39 +55,42 @@ TEST(CodeGen, EagerSSSPUsesOrderedProcessOperator) {
   EXPECT_TRUE(contains(Code.Cpp, "eager_with_fusion,delta=4"));
 }
 
-TEST(CodeGen, EagerRelaxReadsTheSourcePriorityOnce) {
-  // The relax contract (core/OrderedProcess.h): the stale check and the
-  // UDF share one relaxed load of the source's priority. A second read
-  // can see a concurrently lowered source and push a neighbor below a
-  // fused drain's key, where nobody processes it.
-  struct AppVector {
+TEST(CodeGen, RelaxReadsTheSourcePriorityOnce) {
+  // The relax contract (core/OrderedProcess.h): the UDF reads the source's
+  // priority through one relaxed load per relax. In a fused eager drain a
+  // second read can see a concurrently lowered source and push a neighbor
+  // below the drain's key, where nobody processes it; in either lazy
+  // direction a plain read races with another thread's write.
+  struct Case {
     const char *App;
+    const char *Sched;
     std::string Vec;
+    size_t Loads; ///< one per relax lambda: eager has one, lazy two
   };
-  for (const AppVector &A : {AppVector{"sssp.gt", "dist"},
-                             AppVector{"ppsp.gt", "dist"},
-                             AppVector{"astar.gt", "f"}}) {
-    SCOPED_TRACE(A.App);
-    GeneratedCode Code =
-        compileApp(A.App, Schedule::parse("eager_with_fusion,delta=8"));
-    ASSERT_TRUE(Code.UsedEagerEngine);
+  for (const Case &C :
+       {Case{"sssp.gt", "eager_with_fusion,delta=8", "dist", 1},
+        Case{"ppsp.gt", "eager_with_fusion,delta=8", "dist", 1},
+        Case{"astar.gt", "eager_with_fusion,delta=8", "f", 1},
+        Case{"sssp.gt", "lazy,direction=SparsePush", "dist", 2},
+        Case{"sssp.gt", "lazy,direction=DensePull", "dist", 2},
+        Case{"ppsp.gt", "lazy", "dist", 2}}) {
+    SCOPED_TRACE(std::string(C.App) + " " + C.Sched);
+    GeneratedCode Code = compileApp(C.App, Schedule::parse(C.Sched));
     const std::string Load =
-        "const Priority gen_src_prio = atomicLoadRelaxed(&" + A.Vec +
+        "const Priority gen_src_prio = atomicLoadRelaxed(&" + C.Vec +
         "[src]);";
-    const size_t First = Code.Cpp.find(Load);
-    ASSERT_NE(First, std::string::npos);
-    EXPECT_EQ(Code.Cpp.find(Load, First + 1), std::string::npos);
-    EXPECT_TRUE(contains(Code.Cpp, "GenKeys.fineKey(gen_src_prio)"));
-    EXPECT_FALSE(contains(Code.Cpp, A.Vec + "[static_cast<size_t>(src)]"))
+    size_t Loads = 0;
+    for (size_t At = Code.Cpp.find(Load); At != std::string::npos;
+         At = Code.Cpp.find(Load, At + 1))
+      ++Loads;
+    EXPECT_EQ(Loads, C.Loads);
+    if (C.Loads == 1) {
+      EXPECT_TRUE(contains(Code.Cpp, "GenKeys.fineKey(gen_src_prio)"));
+    }
+    EXPECT_FALSE(contains(Code.Cpp, C.Vec + "[static_cast<size_t>(src)]"))
         << "the UDF reads the source priority a second time";
-    EXPECT_FALSE(contains(Code.Cpp, A.Vec + "[src]) <"));
+    EXPECT_FALSE(contains(Code.Cpp, C.Vec + "[src]) <"));
   }
-}
-
-TEST(CodeGen, EagerSSSPCompiles) {
-  expectCompiles(compileApp("sssp.gt",
-                            Schedule::parse("eager_with_fusion,delta=4")),
-                 "sssp_eager");
 }
 
 //===----------------------------------------------------------------------===//
@@ -134,30 +108,22 @@ TEST(CodeGen, LazySparsePushSSSP) {
   EXPECT_TRUE(contains(Code.Cpp, "edgeApplyOut"));
 }
 
-TEST(CodeGen, LazySparsePushCompiles) {
-  expectCompiles(
-      compileApp("sssp.gt", Schedule::parse("lazy,direction=SparsePush")),
-      "sssp_lazy_push");
-}
-
 //===----------------------------------------------------------------------===//
 // Fig. 9(b): lazy + DensePull
 //===----------------------------------------------------------------------===//
 
-TEST(CodeGen, LazyDensePullGeneratesNonAtomicPull) {
+TEST(CodeGen, LazyDensePullStoresWithoutReadModifyWrite) {
   Schedule S = Schedule::parse("lazy,delta=4,direction=DensePull");
   GeneratedCode Code = compileApp("sssp.gt", S);
   EXPECT_TRUE(Code.UsedLazyEngine);
   EXPECT_TRUE(contains(Code.Cpp, "direction=DensePull"));
-  // The pull lambda performs a plain compare-and-store (no atomics).
+  // The pull lambda owns its destination: compare, then a relaxed store
+  // (other threads read the destination as a source), no CAS.
   EXPECT_TRUE(contains(Code.Cpp, "GenPull"));
-  EXPECT_TRUE(contains(Code.Cpp, "tracking_var = true"));
-}
-
-TEST(CodeGen, LazyDensePullCompiles) {
-  expectCompiles(
-      compileApp("sssp.gt", Schedule::parse("lazy,direction=DensePull")),
-      "sssp_lazy_pull");
+  EXPECT_TRUE(contains(Code.Cpp,
+                       "atomicStoreRelaxed(&dist[static_cast<VertexId>(dst)]"
+                       ", GenNew); tracking_var = true;"));
+  EXPECT_FALSE(contains(Code.Cpp, "] = GenNew;"));
 }
 
 //===----------------------------------------------------------------------===//
@@ -175,12 +141,6 @@ TEST(CodeGen, KCoreHistogramEmitsTransformedFunction) {
       << "the constant -1 extracted by the analysis appears in code";
 }
 
-TEST(CodeGen, KCoreHistogramCompiles) {
-  expectCompiles(compileApp("kcore.gt",
-                            Schedule::parse("lazy_constant_sum")),
-                 "kcore_histogram");
-}
-
 //===----------------------------------------------------------------------===//
 // PPSP / A* / stop conditions
 //===----------------------------------------------------------------------===//
@@ -193,18 +153,6 @@ TEST(CodeGen, PPSPEmitsEarlyExitStop) {
   EXPECT_TRUE(contains(Code.Cpp, "GenKey * GenDelta >= GenBest"));
 }
 
-TEST(CodeGen, PPSPCompiles) {
-  expectCompiles(compileApp("ppsp.gt",
-                            Schedule::parse("eager_with_fusion,delta=16")),
-                 "ppsp_eager");
-}
-
-TEST(CodeGen, AStarCompiles) {
-  expectCompiles(compileApp("astar.gt",
-                            Schedule::parse("eager_with_fusion,delta=2048")),
-                 "astar_eager");
-}
-
 //===----------------------------------------------------------------------===//
 // Facade fallback
 //===----------------------------------------------------------------------===//
@@ -214,10 +162,6 @@ TEST(CodeGen, SetCoverFallsBackToFacade) {
   EXPECT_TRUE(Code.UsedFacadeFallback);
   EXPECT_TRUE(contains(Code.Cpp, "PriorityQueue"));
   EXPECT_TRUE(contains(Code.Cpp, "reserve_elements")); // extern decl + call
-}
-
-TEST(CodeGen, SetCoverFacadeCompiles) {
-  expectCompiles(compileApp("setcover.gt", Schedule()), "setcover_facade");
 }
 
 TEST(CodeGen, ScheduleEchoedInHeader) {

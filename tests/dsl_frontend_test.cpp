@@ -243,3 +243,20 @@ TEST(Sema, RejectsApplyOfNonFunction) {
   EXPECT_FALSE(B.ok());
   EXPECT_NE(B.Error.find("requires a function"), std::string::npos);
 }
+
+TEST(Sema, RejectsNonLiteralArgvIndex) {
+  // The generated main checks argc against the highest argv index read.
+  FrontendBundle B = runFrontend(
+      "func main() var i : int = 2; var a : int = atoi(argv[i]); end");
+  EXPECT_FALSE(B.ok());
+  EXPECT_NE(B.Error.find("argv index must be an integer literal"),
+            std::string::npos);
+}
+
+TEST(Driver, CompileSourceReportsFrontendErrors) {
+  std::string Error;
+  GeneratedCode Code =
+      compileSource("func main() nope; end", ScheduleMap(), &Error);
+  EXPECT_FALSE(Error.empty());
+  EXPECT_TRUE(Code.Cpp.empty());
+}

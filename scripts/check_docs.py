@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Docs gate: link integrity + serving-options drift guard.
+"""Docs gate: link integrity + serving-options and fail-point drift guards.
 
-Two checks, both hard failures (run as the `docs_check` ctest entry and
+Three checks, all hard failures (run as the `docs_check` ctest entry and
 in the `docs` CI job):
 
 1. **Link check.** Every relative markdown link in README.md and
@@ -26,6 +26,13 @@ in the `docs` CI job):
    settings both stores share, a namespace-scope struct) has its own
    entry and table.
 
+3. **Fail-point drift guard.** docs/testing.md's "Fault injection"
+   section names every registered fail point in backticks. The guard
+   compares the backticked `word.word` names of that section with
+   `failpoints::kAllPoints` in src/support/FailPoint.h and, like the
+   options guard, fails in both directions: a registered point the
+   section does not name, or a named point the registry lacks.
+
 Exit status: 0 = clean, 1 = findings, 2 = usage/environment error.
 
 Usage:
@@ -48,6 +55,11 @@ OPTION_STRUCTS = {
 
 SERVING_DOC = "docs/serving.md"
 LINK_ROOTS = ["README.md", "docs"]
+
+FAILPOINT_HEADER = "src/support/FailPoint.h"
+TESTING_DOC = "docs/testing.md"
+FAILPOINT_SECTION = "Fault injection"
+FAILPOINT_NAME_RE = re.compile(r"[a-z]+\.[a-z]+")
 
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
@@ -225,6 +237,57 @@ def check_options_drift(root):
     return problems
 
 
+def registered_fail_points(root):
+    """The names in `kAllPoints[] = { ... }`, in declaration order."""
+    path = os.path.join(root, FAILPOINT_HEADER)
+    with open(path) as f:
+        text = f.read()
+    m = re.search(r"kAllPoints\[\]\s*=\s*\{(?P<body>[^}]*)\}", text)
+    if not m:
+        raise RuntimeError(f"{FAILPOINT_HEADER}: kAllPoints not found")
+    return re.findall(r'"([^"]+)"', m.group("body"))
+
+
+def documented_fail_points(root):
+    """Backticked fail-point-shaped names in the "Fault injection"
+    section of docs/testing.md (up to the next heading of any level)."""
+    path = os.path.join(root, TESTING_DOC)
+    names = []
+    in_section = False
+    with open(path) as f:
+        for line in f:
+            m = HEADING_RE.match(line)
+            if m:
+                in_section = m.group(1).strip() == FAILPOINT_SECTION
+                continue
+            if in_section:
+                names += [n for n in re.findall(r"`([^`]+)`", line)
+                          if FAILPOINT_NAME_RE.fullmatch(n)]
+    return names
+
+
+def check_fail_point_drift(root):
+    try:
+        real = registered_fail_points(root)
+    except (OSError, RuntimeError) as e:
+        return [str(e)]
+    doc = documented_fail_points(root)
+    if not doc:
+        return [f"{TESTING_DOC}: no fail-point names found in the "
+                f"\"{FAILPOINT_SECTION}\" section"]
+    problems = []
+    for name in real:
+        if name not in doc:
+            problems.append(f"{TESTING_DOC}: fail point {name} is in "
+                            f"{FAILPOINT_HEADER} but not in the "
+                            f"\"{FAILPOINT_SECTION}\" section")
+    for name in doc:
+        if name not in real:
+            problems.append(f"{TESTING_DOC}: names fail point {name}, which "
+                            f"{FAILPOINT_HEADER} does not register")
+    return problems
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", default=None,
@@ -237,7 +300,8 @@ def main():
               file=sys.stderr)
         return 2
 
-    problems = check_links(root) + check_options_drift(root)
+    problems = (check_links(root) + check_options_drift(root) +
+                check_fail_point_drift(root))
     for p in problems:
         print(p)
     n_files = len(markdown_files(root))
@@ -246,7 +310,8 @@ def main():
               f"markdown file(s)", file=sys.stderr)
         return 1
     print(f"check_docs: OK ({n_files} markdown files, "
-          f"{len(OPTION_STRUCTS)} options structs in sync)")
+          f"{len(OPTION_STRUCTS)} options structs and "
+          f"{len(registered_fail_points(root))} fail points in sync)")
     return 0
 
 

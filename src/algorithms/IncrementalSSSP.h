@@ -74,7 +74,7 @@ struct RepairStats {
 };
 
 /// Reusable O(V) mark space for the affected-set sweep, epoch-stamped so
-/// consecutive repairs pay O(affected), not O(V). Pool one per worker
+/// consecutive repairs pay O(affected), not O(V). Keep one per worker
 /// alongside its DistanceState.
 class RepairScratch {
 public:

@@ -13,10 +13,14 @@
 /// constant-sum pattern the `lazy_constant_sum` histogram schedule
 /// accelerates (Fig. 10). Priority coarsening is NOT applicable (§2).
 ///
-/// Strategies: `lazy_constant_sum` (default, Julienne-style histogram),
-/// `lazy` (per-edge atomic decrements), and `eager` (thread-local degree
-/// buckets — included because Table 7 quantifies how much slower it is than
-/// lazy for k-core's many redundant updates).
+/// The caller's schedule picks the strategy (`Schedule::Update`):
+/// `lazy_constant_sum` (Julienne-style histogram; the paper's choice for
+/// k-core), `lazy` (per-edge atomic decrements), or either eager strategy,
+/// which runs the eager peel (thread-local degree buckets — included
+/// because Table 7 quantifies how much slower it is than lazy for k-core's
+/// many redundant updates). A default `Schedule{}` is `eager_with_fusion`,
+/// so `kCoreDecomposition(G, Schedule{})` runs the eager peel; pass
+/// `configApplyPriorityUpdate("lazy_constant_sum")` for the histogram.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +42,8 @@ struct KCoreResult {
   OrderedStats Stats;
 };
 
-/// Ordered parallel k-core under schedule \p S. Requires a symmetric graph.
+/// Ordered parallel k-core under schedule \p S, whose `Update` strategy
+/// picks the peel (see the file comment). Requires a symmetric graph.
 KCoreResult kCoreDecomposition(const Graph &G, const Schedule &S);
 
 /// Unordered baseline (Fig. 1): wave-based peeling that rescans the alive

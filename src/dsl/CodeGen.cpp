@@ -729,7 +729,8 @@ private:
     if (C.Callee == "load")
       return "loadBinaryGraph(" + exprToCpp(*C.Args[0], Ctx) + ")";
     if (C.Callee == "atoi")
-      return "std::atoll(" + exprToCpp(*C.Args[0], Ctx) + ")";
+      return "gen::integerArgument(" + exprToCpp(*C.Args[0], Ctx) + ", \"" +
+             (ArgUser.empty() ? "argument" : ArgUser) + "\")";
     if (C.Callee == "load_vertex_data")
       return "gen::loadVertexData(" + exprToCpp(*C.Args[0], Ctx) + ", " +
              firstEdgeset() + ".numNodes())";

@@ -22,6 +22,7 @@
 #include "graph/Graph.h"
 #include "support/Random.h"
 
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +50,21 @@ inline void checkArgCount(int Argc, char **Argv, int Needed,
                           const char *Usage) {
   if (Argc <= Needed)
     failInput("usage: %s%s", Argc > 0 ? Argv[0] : "program", Usage);
+}
+
+/// `atoi(Text)`: \p Text as a whole, optionally signed, decimal integer.
+/// Exits naming \p Name, the declaration that reads it, on anything else
+/// (empty, a trailing or leading non-digit, or past 64 bits).
+inline int64_t integerArgument(const char *Text, const char *Name) {
+  const char *Digits = Text + (*Text == '+' || *Text == '-');
+  bool Whole = *Digits != '\0';
+  for (const char *C = Digits; *C; ++C)
+    Whole &= *C >= '0' && *C <= '9';
+  errno = 0;
+  const long long V = Whole ? std::strtoll(Text, nullptr, 10) : 0;
+  if (!Whole || errno == ERANGE)
+    failInput("error: %s must be a decimal integer, got '%s'", Name, Text);
+  return V;
 }
 
 /// \p V as a vertex id; exits naming \p V and \p NumNodes unless

@@ -21,11 +21,10 @@ DeltaGraph::DeltaGraph(std::shared_ptr<const Graph> Base)
     fatalError("DeltaGraph: null base graph");
   NumEdges = BasePtr->numEdges();
   BaseNodes = BasePtr->numNodes();
-  OutSlot.init(BaseNodes);
-  SegSlot.init(BaseNodes);
+  OutSlot.grow(BaseNodes);
   MirrorsIn = !BasePtr->isSymmetric() && BasePtr->hasInEdges();
   if (MirrorsIn)
-    InSlot.init(BaseNodes);
+    InSlot.grow(BaseNodes);
 }
 
 void DeltaGraph::growUniverse(Count NewNumNodes,
@@ -35,7 +34,6 @@ void DeltaGraph::growUniverse(Count NewNumNodes,
     return;
   TailNodes = NewNumNodes - BaseNodes;
   OutSlot.grow(NewNumNodes);
-  SegSlot.grow(NewNumNodes);
   if (MirrorsIn)
     InSlot.grow(NewNumNodes);
   if (hasCoordinates()) {
@@ -107,16 +105,11 @@ DeltaGraph::Patch &DeltaGraph::patchFor(VertexId V, bool Out) {
   // row if the vertex was folded, the monolithic base CSR otherwise, empty
   // for never-folded tail vertices.
   Graph::NeighborRange Range = Out ? baseOutRow(V) : baseInRow(V);
-  P.Ids.reserve(static_cast<size_t>(Range.size()) + 1);
-  if (isWeighted())
-    P.Ws.reserve(static_cast<size_t>(Range.size()) + 1);
-  for (WNode E : Range) {
-    P.Ids.push_back(E.V);
-    if (isWeighted())
-      P.Ws.push_back(E.W);
-  }
+  P.reserve(static_cast<size_t>(Range.size()) + 1);
+  for (WNode E : Range)
+    P.push_back(E);
   if (Out)
-    OverlayEdges += static_cast<Count>(P.Ids.size());
+    OverlayEdges += static_cast<Count>(P.size());
   return P;
 }
 
@@ -126,7 +119,7 @@ Count DeltaGraph::clearPatchSlot(VertexId V, bool Out) {
   if (Slot == kNoSlot)
     return 0;
   std::vector<std::shared_ptr<Patch>> &Patches = Out ? OutPatches : InPatches;
-  const Count Len = static_cast<Count>(Patches[Slot]->Ids.size());
+  const Count Len = static_cast<Count>(Patches[Slot]->size());
   Patches[Slot].reset(); // snapshots sharing the list keep it alive
   (Out ? FreeOutSlots : FreeInSlots).push_back(Slot);
   Slots.set(V, kNoSlot);
@@ -134,6 +127,12 @@ Count DeltaGraph::clearPatchSlot(VertexId V, bool Out) {
 }
 
 namespace {
+
+/// The first entry of patch list \p P whose neighbor id is not below \p V.
+std::vector<WNode>::iterator findNeighbor(std::vector<WNode> &P, VertexId V) {
+  return std::lower_bound(P.begin(), P.end(), V,
+                          [](const WNode &E, VertexId X) { return E.V < X; });
+}
 
 /// Copies rows `Row(First)` .. `Row(First + NumVerts - 1)` into \p Into,
 /// offsets first, so each array is allocated once at its final size. An
@@ -170,50 +169,41 @@ void foldRows(Count First, Count NumVerts, bool Weighted, RowFn &&Row,
 std::shared_ptr<const BaseSegment> DeltaGraph::foldRange(Count First,
                                                          Count NumVerts)
     const {
-  auto Seg = std::make_shared<BaseSegment>();
-  Seg->First = First;
-  Seg->NumVerts = NumVerts;
+  auto Folded = std::make_shared<BaseSegment>();
+  Folded->First = First;
+  Folded->NumVerts = NumVerts;
   foldRows(
       First, NumVerts, isWeighted(),
-      [&](VertexId V) { return outNeighbors(V); }, Seg->Out);
+      [&](VertexId V) { return outNeighbors(V); }, Folded->Out);
   if (MirrorsIn)
     foldRows(
         First, NumVerts, isWeighted(),
-        [&](VertexId V) { return inNeighbors(V); }, Seg->In);
-  return Seg;
+        [&](VertexId V) { return inNeighbors(V); }, Folded->In);
+  return Folded;
 }
 
-void DeltaGraph::adoptSegment(std::shared_ptr<const BaseSegment> Seg) {
-  if (!Seg || Seg->NumVerts == 0)
+void DeltaGraph::adoptSegment(std::shared_ptr<const BaseSegment> NewSeg) {
+  if (!NewSeg || NewSeg->NumVerts == 0)
     return;
-  if (Seg->First + Seg->NumVerts > numNodes())
+  const Count First = NewSeg->First, End = First + NewSeg->NumVerts;
+  if (End > numNodes())
     fatalError("adoptSegment: segment range exceeds the vertex universe");
-  // Find-or-append by range start: re-folding a shard replaces its entry.
-  // The Segs vector is per-copy, so published snapshots keep the segment
-  // they were published with.
-  uint32_t Idx = kNoSlot;
-  for (size_t I = 0; I < Segs.size(); ++I)
-    if (Segs[I]->First == Seg->First) {
-      Idx = static_cast<uint32_t>(I);
-      break;
-    }
-  if (Idx == kNoSlot) {
-    Idx = static_cast<uint32_t>(Segs.size());
-    Segs.push_back(std::move(Seg));
-  } else {
-    Segs[Idx] = std::move(Seg);
-  }
-  const BaseSegment &S = *Segs[Idx];
+  if (Seg && (First > Seg->First || End < Seg->First + Seg->NumVerts))
+    fatalError("adoptSegment: the new segment does not cover the installed "
+               "segment's range");
+  // The pointer is per-copy, so published snapshots keep the segment they
+  // were published with.
+  Seg = std::move(NewSeg);
+  SegFirst = static_cast<VertexId>(First);
+  SegVerts = static_cast<VertexId>(End - First);
   // Adoption contract (see the header): the segment equals the current
   // adjacency over its range, so NumEdges is untouched; only the overlay
   // shrinks as folded patch rows are dropped.
-  for (Count V = S.First; V < S.First + S.NumVerts; ++V) {
+  for (Count V = First; V < End; ++V) {
     const VertexId Id = static_cast<VertexId>(V);
-    if (SegSlot.get(Id) != Idx)
-      SegSlot.set(Id, Idx);
     const uint32_t OutPatch = OutSlot.get(Id);
     if (OutPatch != kNoSlot) {
-      if (OutPatches[OutPatch]->Ids.empty())
+      if (OutPatches[OutPatch]->empty())
         ++ReclaimedTombstones; // an isolated (deleted) vertex's row
       OverlayEdges -= clearPatchSlot(Id, /*Out=*/true);
     }
@@ -226,34 +216,27 @@ AppliedUpdate DeltaGraph::applyDirectedOut(VertexId Src, VertexId Dst,
                                            Weight W, UpdateKind Kind) {
   AppliedUpdate Nothing{Src, Dst, kAbsentEdge, kAbsentEdge};
   Patch &P = patchFor(Src, /*Out=*/true);
-  auto It = std::lower_bound(P.Ids.begin(), P.Ids.end(), Dst);
-  size_t Idx = static_cast<size_t>(It - P.Ids.begin());
-  bool Present = It != P.Ids.end() && *It == Dst;
-  Weight OldW =
-      Present ? (isWeighted() ? P.Ws[Idx] : Weight{1}) : kAbsentEdge;
+  auto It = findNeighbor(P, Dst);
+  const bool Present = It != P.end() && It->V == Dst;
+  const Weight OldW = Present ? It->W : kAbsentEdge;
 
   if (Kind == UpdateKind::Delete) {
     if (!Present)
       return Nothing; // deleting a missing edge is a no-op
-    P.Ids.erase(It);
-    if (isWeighted())
-      P.Ws.erase(P.Ws.begin() + static_cast<ptrdiff_t>(Idx));
+    P.erase(It);
     --NumEdges;
     --OverlayEdges;
     return AppliedUpdate{Src, Dst, OldW, kAbsentEdge};
   }
 
-  Weight NewW = isWeighted() ? W : Weight{1};
+  const Weight NewW = isWeighted() ? W : Weight{1};
   if (Present) {
     if (OldW == NewW)
       return Nothing; // same weight: no transition
-    if (isWeighted())
-      P.Ws[Idx] = NewW;
+    It->W = NewW;
     return AppliedUpdate{Src, Dst, OldW, NewW};
   }
-  P.Ids.insert(It, Dst);
-  if (isWeighted())
-    P.Ws.insert(P.Ws.begin() + static_cast<ptrdiff_t>(Idx), NewW);
+  P.insert(It, WNode{Dst, NewW});
   ++NumEdges;
   ++OverlayEdges;
   return AppliedUpdate{Src, Dst, kAbsentEdge, NewW};
@@ -274,26 +257,18 @@ void DeltaGraph::mirrorIn(VertexId Src, VertexId Dst, Weight W,
   if (!MirrorsIn)
     return;
   Patch &P = patchFor(Dst, /*Out=*/false);
-  auto It = std::lower_bound(P.Ids.begin(), P.Ids.end(), Src);
-  size_t Idx = static_cast<size_t>(It - P.Ids.begin());
-  bool Present = It != P.Ids.end() && *It == Src;
+  auto It = findNeighbor(P, Src);
+  const bool Present = It != P.end() && It->V == Src;
   if (Kind == UpdateKind::Delete) {
-    if (!Present)
-      return;
-    P.Ids.erase(It);
-    if (isWeighted())
-      P.Ws.erase(P.Ws.begin() + static_cast<ptrdiff_t>(Idx));
+    if (Present)
+      P.erase(It);
     return;
   }
-  Weight NewW = isWeighted() ? W : Weight{1};
-  if (Present) {
-    if (isWeighted())
-      P.Ws[Idx] = NewW;
-    return;
-  }
-  P.Ids.insert(It, Src);
-  if (isWeighted())
-    P.Ws.insert(P.Ws.begin() + static_cast<ptrdiff_t>(Idx), NewW);
+  const Weight NewW = isWeighted() ? W : Weight{1};
+  if (Present)
+    It->W = NewW;
+  else
+    P.insert(It, WNode{Src, NewW});
 }
 
 std::vector<AppliedUpdate>

@@ -8,11 +8,15 @@
 /// \file
 /// A mutable view over an immutable CSR base: edge insertions, deletions and
 /// weight changes are absorbed into per-vertex *patch lists* (a vertex whose
-/// adjacency changed owns a private, sorted replacement list; every other
-/// vertex reads straight from the base CSR). Iteration is unified —
-/// `outNeighbors`/`inNeighbors` return the same `Graph::NeighborRange` the
-/// base graph returns, so every engine templated over the graph type runs
-/// unmodified against a delta view.
+/// adjacency changed owns a private replacement list of (id, weight) pairs
+/// sorted by id, weight 1 on unweighted graphs; every other vertex reads
+/// its base row). Iteration is unified — `outNeighbors`/`inNeighbors`
+/// return the same `Graph::NeighborRange` the base graph returns, a patch
+/// list in the packed layout of a weighted CSR row — so every engine
+/// templated over the graph type runs unmodified against a delta view.
+///
+/// A vertex's base row comes from at most one folded `BaseSegment` (one
+/// range check) or else from the base CSR; see `adoptSegment`.
 ///
 /// This is the representation behind live-graph serving
 /// (service/SnapshotStore.h): writers mutate a private `DeltaGraph`,
@@ -81,6 +85,10 @@ struct AppliedUpdate {
 /// a sharded store fold one shard in O(shard) instead of rebuilding the
 /// whole O(V + E) base.
 ///
+/// A `DeltaGraph` holds at most one segment, and a sharded store's shard
+/// ranges only grow, so each adoption replaces the installed segment with
+/// one that covers it.
+///
 /// A segment's rows use `Graph`'s row format (`CsrRows`, graph/Graph.h):
 /// 4-byte offsets (one per covered vertex, plus one) and interleaved
 /// (id, weight) rows when weighted, so a folded row reads exactly like a
@@ -139,7 +147,7 @@ public:
     uint32_t Slot = OutSlot.get(V);
     if (Slot == kNoSlot)
       return baseOutRow(V).size();
-    return static_cast<Count>(OutPatches[Slot]->Ids.size());
+    return static_cast<Count>(OutPatches[Slot]->size());
   }
 
   Count inDegree(VertexId V) const {
@@ -148,7 +156,7 @@ public:
     uint32_t Slot = InSlot.get(V);
     if (Slot == kNoSlot)
       return baseInRow(V).size();
-    return static_cast<Count>(InPatches[Slot]->Ids.size());
+    return static_cast<Count>(InPatches[Slot]->size());
   }
 
   Graph::NeighborRange outNeighbors(VertexId V) const {
@@ -174,7 +182,7 @@ public:
   /// vertices live in small per-vertex lists; only the base-CSR path is
   /// worth hinting.
   void prefetchOutRow(VertexId V) const {
-    if (OutSlot.get(V) == kNoSlot && SegSlot.get(V) == kNoSlot &&
+    if (OutSlot.get(V) == kNoSlot && !inSegment(V) &&
         V < static_cast<VertexId>(BaseNodes))
       BasePtr->prefetchOutRow(V);
   }
@@ -259,9 +267,12 @@ public:
   /// `foldRange` snapshots the *current* adjacency of a vertex range into
   /// a fresh immutable BaseSegment — read-only, so it can run on a pinned
   /// copy while the writer keeps mutating. `adoptSegment` installs a
-  /// segment: every covered vertex's base-row reads re-route to the
-  /// segment, its patch lists are dropped (their slots recycled), and the
-  /// overlay counter shrinks by the folded patch edges. The caller must
+  /// segment in place of the installed one: every covered vertex's
+  /// base-row reads re-route to it, its patch lists are dropped (their
+  /// slots recycled), and the overlay counter shrinks by the folded patch
+  /// edges. The new segment must cover the installed one's range, or
+  /// adoption aborts: a vertex the old segment served would fall back to
+  /// a stale base row. An empty segment is a no-op. The caller must
   /// guarantee the segment equals the adopted-onto graph's current
   /// adjacency over the range (fold in place under the writer lock, or
   /// fold a pinned copy and replay the ops that landed since) — adoption
@@ -270,14 +281,15 @@ public:
   /// overlays are unaffected.
   std::shared_ptr<const BaseSegment> foldRange(Count First,
                                                Count NumVerts) const;
-  void adoptSegment(std::shared_ptr<const BaseSegment> Seg);
+  void adoptSegment(std::shared_ptr<const BaseSegment> NewSeg);
   /// foldRange + adoptSegment in place (the synchronous in-lock fold).
   void compactRange(Count First, Count NumVerts) {
     adoptSegment(foldRange(First, NumVerts));
   }
 
-  /// Base segments currently installed.
-  Count numSegments() const { return static_cast<Count>(Segs.size()); }
+  /// The installed segment, or null before the first fold. Snapshot
+  /// copies share it.
+  std::shared_ptr<const BaseSegment> segment() const { return Seg; }
   /// Isolated (fully tombstoned) vertices whose empty patch rows were
   /// reclaimed by segment adoption — deleted-vertex rows folding away.
   Count reclaimedTombstones() const { return ReclaimedTombstones; }
@@ -289,10 +301,8 @@ public:
 private:
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  struct Patch {
-    std::vector<VertexId> Ids; ///< sorted by neighbor id
-    std::vector<Weight> Ws;    ///< parallel to Ids; empty when unweighted
-  };
+  /// A patch list: the vertex's whole row, sorted by neighbor id.
+  using Patch = std::vector<WNode>;
 
   /// Paged per-vertex slot index with copy-on-write pages. A copy shares
   /// every page (O(V / kPageSize) pointer copies); the serialized writer
@@ -305,21 +315,16 @@ private:
     static constexpr int kPageBits = 12;
     static constexpr size_t kPageSize = size_t{1} << kPageBits;
 
-    void init(Count NumNodes) {
-      Pages.assign((static_cast<size_t>(NumNodes) + kPageSize - 1) /
-                       kPageSize,
-                   nullptr);
-    }
-    /// Universe growth: appends unmapped (all-kNoSlot) pages. The page
-    /// vector itself is per-copy (only the pages are shared), so growing
-    /// the writer never perturbs a published snapshot.
+    /// Covers \p NumNodes vertices, appending unmapped (all-kNoSlot)
+    /// pages: at construction and on universe growth. The page vector
+    /// itself is per-copy (only the pages are shared), so growing the
+    /// writer never perturbs a published snapshot.
     void grow(Count NumNodes) {
       size_t Want =
           (static_cast<size_t>(NumNodes) + kPageSize - 1) / kPageSize;
       if (Want > Pages.size())
         Pages.resize(Want, nullptr);
     }
-    bool empty() const { return Pages.empty(); }
 
     uint32_t get(VertexId V) const {
       const PagePtr &P = Pages[V >> kPageBits];
@@ -343,10 +348,9 @@ private:
     std::vector<PagePtr> Pages;
   };
 
-  Graph::NeighborRange rangeOf(const Patch &P) const {
-    return Graph::NeighborRange{P.Ids.data(),
-                                isWeighted() ? P.Ws.data() : nullptr,
-                                static_cast<Count>(P.Ids.size())};
+  static Graph::NeighborRange rangeOf(const Patch &P) {
+    return Graph::NeighborRange{nullptr, static_cast<Count>(P.size()),
+                                P.data()};
   }
 
   /// The *writable* patch list for \p V in the given direction: created by
@@ -354,29 +358,26 @@ private:
   /// list on the first touch after a publish (copy-on-write).
   Patch &patchFor(VertexId V, bool Out);
 
-  /// The base-layer row for \p V with segment indirection: an installed
-  /// segment's row wins, then the monolithic base CSR, then empty (tail
-  /// vertices never folded into a segment).
+  /// True when \p V's base row lives in the installed segment. One
+  /// unsigned compare: ids below SegFirst wrap past SegVerts.
+  bool inSegment(VertexId V) const { return V - SegFirst < SegVerts; }
+
+  /// The base-layer row for \p V: the installed segment's row if it
+  /// covers V, then the monolithic base CSR, then empty (tail vertices
+  /// never folded into a segment).
   Graph::NeighborRange baseOutRow(VertexId V) const {
-    uint32_t Seg = SegSlot.get(V);
-    if (Seg != kNoSlot)
-      return segRow(*Segs[Seg], V, /*Out=*/true);
+    if (inSegment(V))
+      return Seg->Out.row(V - SegFirst, isWeighted());
     return V < static_cast<VertexId>(BaseNodes)
                ? BasePtr->outNeighbors(V)
-               : Graph::NeighborRange{nullptr, nullptr, 0};
+               : Graph::NeighborRange{nullptr, 0};
   }
   Graph::NeighborRange baseInRow(VertexId V) const {
-    uint32_t Seg = SegSlot.get(V);
-    if (Seg != kNoSlot)
-      return segRow(*Segs[Seg], V, /*Out=*/false);
+    if (inSegment(V))
+      return Seg->In.row(V - SegFirst, isWeighted());
     return V < static_cast<VertexId>(BaseNodes)
                ? BasePtr->inNeighbors(V)
-               : Graph::NeighborRange{nullptr, nullptr, 0};
-  }
-  Graph::NeighborRange segRow(const BaseSegment &S, VertexId V,
-                              bool Out) const {
-    const Count R = static_cast<Count>(V) - S.First;
-    return (Out ? S.Out : S.In).row(R, isWeighted());
+               : Graph::NeighborRange{nullptr, 0};
   }
 
   /// Drops the patch slot for \p V in one direction (segment adoption has
@@ -401,13 +402,15 @@ private:
   std::shared_ptr<const Graph> BasePtr;
   PagedSlots OutSlot; ///< per-vertex patch index or kNoSlot
   PagedSlots InSlot;  ///< directed graphs with in-edges only
-  PagedSlots SegSlot; ///< per-vertex index into Segs, or kNoSlot
   std::vector<std::shared_ptr<Patch>> OutPatches;
   std::vector<std::shared_ptr<Patch>> InPatches;
-  /// Installed base segments. The vector is per-copy (a re-fold replaces
-  /// the writer's entry without perturbing published snapshots, which hold
-  /// their own vector); the segments themselves are shared immutably.
-  std::vector<std::shared_ptr<const BaseSegment>> Segs;
+  /// The installed base segment (null before the first fold), shared
+  /// immutably with snapshot copies; a re-fold replaces the writer's
+  /// pointer without perturbing published snapshots. Its range is cached
+  /// in SegFirst/SegVerts (SegVerts 0 when none is installed).
+  std::shared_ptr<const BaseSegment> Seg;
+  VertexId SegFirst = 0;
+  VertexId SegVerts = 0;
   std::vector<uint32_t> FreeOutSlots; ///< recycled patch indices
   std::vector<uint32_t> FreeInSlots;
   Count ReclaimedTombstones = 0; ///< empty patch rows folded away

@@ -16,8 +16,8 @@
 /// (neighbor, weight) pairs per direction — so a relax loop walks a single
 /// stream instead of two parallel arrays (one hardware prefetch stream and
 /// half the cache lines per scattered row). Unweighted adjacency stays a
-/// packed id array. `NeighborRange` abstracts over both layouts (and over
-/// `DeltaGraph`'s split patch lists) with a stride.
+/// packed id array. `NeighborRange` abstracts over these two layouts;
+/// `DeltaGraph`'s patch lists are interleaved pairs too.
 ///
 /// Size: each stored direction costs 4 bytes per vertex of row offsets
 /// (`EdgeOffset`) plus 8 bytes per entry when weighted, 4 when not. A
@@ -82,10 +82,11 @@ class VertexMapping; // graph/Reorder.h
 /// Lightweight range of WNode for range-for iteration, generic over the
 /// two physical layouts:
 ///
-///  * split — `Ids` (and optionally `Weights`) are packed arrays, the
-///    layout of unweighted rows and `DeltaGraph` patch lists;
-///  * packed — `Packed` points at interleaved (id, weight) pairs, the
-///    layout of weighted rows.
+///  * bare ids — `Ids` is a packed id array, every weight 1: the layout
+///    of unweighted CSR rows;
+///  * packed — `Packed` points at interleaved (id, weight) pairs: the
+///    layout of weighted CSR rows and of every `DeltaGraph` patch list
+///    (weight 1 on unweighted graphs).
 ///
 /// The layout test is a pointer null-check — one perfectly-predicted
 /// branch per access with constant-scale indexing on both sides (a
@@ -93,27 +94,19 @@ class VertexMapping; // graph/Reorder.h
 /// `id(I)`/`weight(I)` give indexed access for loops that look ahead
 /// (software prefetch of the I+k-th neighbor's distance word).
 struct NeighborRange {
-  const VertexId *Ids;   ///< split layout ids (null when packed)
-  const Weight *Weights; ///< split layout weights; null -> weight 1
+  const VertexId *Ids; ///< bare-id layout (null when packed)
   Count N;
   const WNode *Packed = nullptr; ///< interleaved layout
 
   VertexId id(Count I) const { return Packed ? Packed[I].V : Ids[I]; }
-  Weight weight(Count I) const {
-    if (Packed)
-      return Packed[I].W;
-    return Weights ? Weights[I] : Weight{1};
-  }
+  Weight weight(Count I) const { return Packed ? Packed[I].W : Weight{1}; }
 
   struct Iterator {
     const VertexId *Ids;
-    const Weight *Weights;
     const WNode *Packed;
     Count I;
     WNode operator*() const {
-      if (Packed)
-        return Packed[I];
-      return WNode{Ids[I], Weights ? Weights[I] : Weight{1}};
+      return Packed ? Packed[I] : WNode{Ids[I], Weight{1}};
     }
     Iterator &operator++() {
       ++I;
@@ -121,8 +114,8 @@ struct NeighborRange {
     }
     bool operator!=(const Iterator &O) const { return I != O.I; }
   };
-  Iterator begin() const { return Iterator{Ids, Weights, Packed, 0}; }
-  Iterator end() const { return Iterator{Ids, Weights, Packed, N}; }
+  Iterator begin() const { return Iterator{Ids, Packed, 0}; }
+  Iterator end() const { return Iterator{Ids, Packed, N}; }
   Count size() const { return N; }
 };
 
@@ -167,8 +160,8 @@ struct CsrRows {
     const EdgeOffset Lo = Offsets[R];
     const Count Deg = Offsets[R + 1] - Lo;
     if (Weighted)
-      return NeighborRange{nullptr, nullptr, Deg, Adj.data() + Lo};
-    return NeighborRange{Ids.data() + Lo, nullptr, Deg};
+      return NeighborRange{nullptr, Deg, Adj.data() + Lo};
+    return NeighborRange{Ids.data() + Lo, Deg};
   }
 
   /// Prefetches row R: its offset word and, reading the offset (which a

@@ -10,7 +10,6 @@
 #include "algorithms/AStar.h"
 #include "algorithms/SSSP.h"
 #include "support/Abort.h"
-#include "support/FailPoint.h"
 
 #include <algorithm>
 #include <cassert>
@@ -35,8 +34,7 @@ template <class StoreT>
 BasicQueryEngine<StoreT>::BasicQueryEngine(const Graph &G, Options O)
     : StaticG(&G), NumNodes(G.numNodes()),
       HasCoordinates(G.hasCoordinates()), Opts(O), OwnMap(G.numNodes()),
-      Map(&OwnMap), Pool(G.numNodes(), O.TrackParents),
-      Policy(O, std::chrono::steady_clock::now()) {
+      Map(&OwnMap), Policy(O, std::chrono::steady_clock::now()) {
   if (Opts.Reorder != ReorderKind::None) {
     // Serve a cache-conscious layout internally; the boundary translation
     // in runOne keeps callers in original-id space.
@@ -54,8 +52,7 @@ template <class StoreT>
 BasicQueryEngine<StoreT>::BasicQueryEngine(StoreT &S, Options O)
     : Store(&S), NumNodes(S.current()->numNodes()),
       HasCoordinates(S.current()->hasCoordinates()), Opts(O),
-      Map(&S.mapping()), Pool(NumNodes, O.TrackParents),
-      Policy(O, std::chrono::steady_clock::now()) {
+      Map(&S.mapping()), Policy(O, std::chrono::steady_clock::now()) {
   if (Opts.SharedHotCache)
     HotCache = Opts.SharedHotCache;
   else if (Opts.HotSourceCapacity > 0)
@@ -143,18 +140,6 @@ BasicQueryEngine<StoreT>::growUniverse(const StoreGrowFn &StoreGrow) {
   // applyUpdates would not admit anyway.
   LandmarksRetired.store(true);
   NumNodes.store(NewNodes);
-  // Pool growth is a fail-point site (statepool.grow): a transient fault
-  // must not leave the pool sized below the already-published universe,
-  // so retry until it lands — the operation itself is idempotent.
-  for (int Attempt = 0;; ++Attempt) {
-    try {
-      Pool.grow(NewNodes);
-      break;
-    } catch (const std::exception &) {
-      if (Attempt >= 256)
-        fatalError("QueryEngine: state pool growth kept failing");
-    }
-  }
 
   // Pure growth publishes a version whose distances are unchanged (new
   // vertices are unreachable until an edge batch seeds them): resize and
@@ -350,7 +335,9 @@ void BasicQueryEngine<StoreT>::workerLoop() {
   // threads. Serving throughput wants 1 (queries are the parallelism);
   // the knob exists for few-but-huge query mixes.
   omp_set_num_threads(std::max(1, Opts.OmpThreadsPerQuery));
-  StatePool::Lease State = Pool.acquire();
+  // The worker's own state for its whole life; runOne resizes it to each
+  // pinned snapshot, so universe growth needs nothing here.
+  DistanceState State(NumNodes.load(), Opts.TrackParents);
 
   struct Done {
     QueryResult R;
@@ -414,7 +401,7 @@ void BasicQueryEngine<StoreT>::workerLoop() {
         R.Status = QueryStatus::DeadlineExceeded;
         R.SettledBound = 0;
       } else {
-        R = runOne(T.Q, State.get(), Cancel);
+        R = runOne(T.Q, State, Cancel);
       }
       R.Degraded = T.Degraded;
       const double Micros =
@@ -543,7 +530,7 @@ QueryResult BasicQueryEngine<StoreT>::runOne(const Query &Q,
       R = runOneOn(*Snap, QI, *HotState, nullptr);
       HotCache->install(QI.Source, Ver, std::move(HotState));
     } else {
-      // Vertex insertion may have outgrown a pooled worker state.
+      // Vertex insertion may have outgrown the worker's state.
       State.resize(Snap->numNodes());
       R = runOneOn(*Snap, QI, State, Cancel);
     }

@@ -12,10 +12,10 @@
 ///
 /// What makes serving different from the paper's single-run setting:
 ///
-///  * every worker owns a pooled `DistanceState` (distance/parent arrays
-///    plus a bitmap of the 8-vertex lines each query wrote), so a query
-///    pays O(touched) setup instead of the O(V) infinity-fill a fresh run
-///    pays;
+///  * every worker builds one `DistanceState` (distance/parent arrays
+///    plus a bitmap of the 8-vertex lines each query wrote) when it starts
+///    and reuses it for every query it runs, so a query pays O(touched)
+///    setup instead of the O(V) infinity-fill a fresh run pays;
 ///  * an optional `LandmarkCache` (ALT) sharpens the A* bound beyond the
 ///    coordinate heuristic, shared read-only by all workers;
 ///  * each query runs through the ordinary ordered engine — eager with
@@ -23,9 +23,9 @@
 ///    query, many queries in flight.
 ///
 /// The O(touched) setup applies to the eager engines: the distance array
-/// is pooled, and the engine's own bins and round shares grow with the
+/// is the worker's, and the engine's own bins and round shares grow with the
 /// vertices a query pushes, not with V or E. Lazy-schedule queries reuse the
-/// pooled distance array but still construct their bucket queue and
+/// worker's distance array but still construct their bucket queue and
 /// traversal buffers per run (O(V)); serve latency-sensitive point
 /// queries with an eager schedule.
 ///
@@ -46,7 +46,7 @@
 /// single-writer store, `BasicQueryEngine<ShardedSnapshotStore>` (aliased
 /// `ShardedQueryEngine`) the sharded multi-writer store. Both stores share
 /// one surface (`detail::StoreCore`, service/SnapshotStore.h), so this is
-/// one serving implementation, every feature (pooled states, landmarks,
+/// one serving implementation, every feature (worker states, landmarks,
 /// hot-state repair and sharing, admission control, deadlines) available
 /// over both.
 ///
@@ -64,6 +64,7 @@
 
 #include "algorithms/IncrementalSSSP.h"
 #include "algorithms/PPSP.h"
+#include "algorithms/QueryState.h"
 #include "core/OrderedProcess.h"
 #include "core/Schedule.h"
 #include "graph/Graph.h"
@@ -71,7 +72,6 @@
 #include "service/LandmarkCache.h"
 #include "service/ServingPolicy.h"
 #include "service/SnapshotStore.h"
-#include "service/StatePool.h"
 #include "support/Cancellation.h"
 #include "support/LatencyHistogram.h"
 #include "support/ThreadSafety.h"
@@ -254,7 +254,7 @@ public:
 
   /// Live mode only: grows the vertex universe through the store (see
   /// SnapshotStore::addVertices) and threads the growth through the
-  /// engine — pooled states and hot states resize, submit() accepts the
+  /// engine — worker states and hot states resize, submit() accepts the
   /// new ids, and the landmark cache (sized to the build universe) retires
   /// for good. Route insertions through the engine, not the store, exactly
   /// like update batches.
@@ -374,7 +374,7 @@ private:
   /// The growth routine behind addVertices and acquireVertex: runs the
   /// store call \p StoreGrow under GrowthMu and, when the universe grew,
   /// retires the landmark cache, publishes the new size to submit(), and
-  /// grows the pooled and hot states.
+  /// grows the hot states (each worker's own state grows in runOne).
   template <typename StoreGrowFn>
   VertexId growUniverse(const StoreGrowFn &StoreGrow) EXCLUDES(GrowthMu);
 
@@ -388,7 +388,6 @@ private:
   std::unique_ptr<Graph> OwnedG;    ///< fixed-graph mode, reordered layout
   VertexMapping OwnMap;             ///< fixed-graph mode mapping storage
   const VertexMapping *Map;         ///< mapping in effect (never null)
-  StatePool Pool;
 
   /// The ALT cache: set in the constructor, before any worker starts, and
   /// never reassigned, so workers read it without a lock.

@@ -29,7 +29,7 @@
 ///
 /// The vertex universe *grows*: `addVertices` appends fresh ids at the
 /// tail (DeltaGraph's appendable tail region) and publishes the grown
-/// universe as the next version; pooled query states resize lazily
+/// universe as the next version; worker query states resize lazily
 /// (`DistanceState::resize`). Under a reordered layout, tail ids map to
 /// themselves in both id spaces (VertexMapping's identity tail).
 ///
@@ -140,7 +140,7 @@ public:
     /// edge: the first old weight to the last new weight), ready for
     /// `repairAfterUpdates`. Empty records (no net change) are dropped.
     /// In *internal* (layout) id space when the store reorders — the same
-    /// space the snapshots and any pooled distance states live in;
+    /// space the snapshots and any query distance states live in;
     /// translate through `mapping()` for display. Byte-identical across
     /// the two stores for the same batch.
     std::vector<AppliedUpdate> Applied;
@@ -343,8 +343,9 @@ private:
 ///
 /// Compaction is *per shard and incremental*: a shard that trips its
 /// trigger folds its own vertex range — patches included — into a fresh
-/// `BaseSegment` (DeltaGraph::compactRange) while every other shard keeps
-/// serving its existing rows. The fold costs O(shard), holds exactly one
+/// `BaseSegment` that replaces the shard's previous one
+/// (DeltaGraph::compactRange) while every other shard keeps serving its
+/// existing rows. The fold costs O(shard), holds exactly one
 /// shard writer lock (never more — asserted by the fault-isolation stress
 /// schedule), and can run on a background thread per shard
 /// (`StoreOptions::BackgroundCompaction`): the fold works off a pinned

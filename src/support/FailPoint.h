@@ -10,8 +10,8 @@
 /// stack.
 ///
 /// A fail point is a named site in runtime code (snapshot publish, shard
-/// lock acquisition, compaction rebuild/replay, state-pool growth) where
-/// a transient fault can be injected on demand. Sites are spelled
+/// lock acquisition, compaction rebuild/replay) where a transient fault
+/// can be injected on demand. Sites are spelled
 ///
 ///   GRAPHIT_FAIL_POINT("snapshot.publish");
 ///
@@ -56,8 +56,8 @@ public:
 /// Names of every registered injection site, for "activate everything"
 /// loops in the stress harness and tests.
 inline constexpr const char *kAllPoints[] = {
-    "snapshot.publish",   "shard.lock",     "compaction.rebuild",
-    "compaction.replay",  "statepool.grow",
+    "snapshot.publish", "shard.lock", "compaction.rebuild",
+    "compaction.replay",
 };
 
 #if GRAPHIT_FAILPOINTS

@@ -352,6 +352,22 @@ TEST(GeneratedMain, RejectsVerticesOutOfRange) {
                 "vertex 10000 is out of range");
 }
 
+TEST(GeneratedMain, RejectsNonNumericVertices) {
+  const Inputs &In = inputs();
+  // Each would have run from another vertex: atoi reads "abc" as 0 and
+  // "12abc" as 12.
+  expectRejects("sssp_fused_8192", {In.Small.Path, "abc"},
+                "start_vertex must be a decimal integer, got 'abc'");
+  expectRejects("sssp_fused_8192", {In.Small.Path, "12abc"},
+                "start_vertex must be a decimal integer, got '12abc'");
+  expectRejects("ppsp_fused_8192", {In.Small.Path, "0", "5x"},
+                "end_vertex must be a decimal integer, got '5x'");
+  for (const char *Bad : {"", "-", " 7", "0x10", "99999999999999999999"})
+    expectRejects("sssp_lazy_push_8192", {In.Small.Path, Bad},
+                  std::string("start_vertex must be a decimal integer, got '") +
+                      Bad + "'");
+}
+
 TEST(GeneratedMain, VertexDataNeedsOneIntegerPerVertex) {
   const Inputs &In = inputs();
   const std::string Missing = (In.Dir / "no_such_file").string();

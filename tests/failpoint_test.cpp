@@ -7,8 +7,8 @@
 //
 // The deterministic fault-injection layer (support/FailPoint.h) and the
 // recovery paths it exists to exercise: snapshot-publish retry, strict
-// all-or-nothing batches, compaction retry/fallback/watchdog with
-// degraded-but-serving semantics, and state-pool growth. Most of this
+// all-or-nothing batches, and compaction retry/fallback/watchdog with
+// degraded-but-serving semantics. Most of this
 // file only runs in -DGRAPHIT_FAILPOINTS=ON builds (the CI `faults`
 // job); the strict-batch tests run everywhere (no faults involved).
 //
@@ -19,7 +19,6 @@
 #include "algorithms/SSSP.h"
 #include "graph/Builder.h"
 #include "graph/Generators.h"
-#include "service/QueryEngine.h"
 #include "service/SnapshotStore.h"
 #include "support/FailPoint.h"
 
@@ -611,36 +610,6 @@ TEST(FailPoint, FoldRetryBoundRecoversFromThreeFaultsNotFour) {
       return shardLocalUpserts(2 * Span, 3 * Span, 24, Rng);
     });
   }
-}
-
-TEST(FailPoint, StatePoolGrowthRetriesInsideAddVertices) {
-  SKIP_WITHOUT_FAILPOINTS();
-  FailPointGuard Guard;
-  Graph Base = makeRoad(12, 15);
-  SnapshotStore Store(Base);
-  QueryEngine::Options Opts;
-  Opts.NumWorkers = 1;
-  Opts.DefaultSchedule.configApplyPriorityUpdateDelta(1024);
-  QueryEngine Engine(Store, Opts);
-
-  failpoints::reseed(0xFA5);
-  failpoints::activate("statepool.grow", 0.7);
-  VertexId First = Engine.addVertices(2);
-  failpoints::reset();
-  EXPECT_EQ(static_cast<Count>(First), Base.numNodes());
-
-  // The grown id is immediately usable end to end.
-  std::vector<EdgeUpdate> Wire = {
-      EdgeUpdate{0, First, 5, UpdateKind::Upsert},
-      EdgeUpdate{First, 0, 5, UpdateKind::Upsert}};
-  Engine.applyUpdates(Wire);
-  Query Q;
-  Q.Kind = QueryKind::PPSP;
-  Q.Source = 0;
-  Q.Target = First;
-  QueryResult R = Engine.runBatch({Q})[0];
-  EXPECT_EQ(R.Status, QueryStatus::Ok);
-  EXPECT_EQ(R.Dist, Priority{5});
 }
 
 //===----------------------------------------------------------------------===//

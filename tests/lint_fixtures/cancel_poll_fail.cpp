@@ -1,8 +1,8 @@
 // lint-expect: fail(cancel-poll)
 //
 // A round loop that drains buckets without ever polling cancellation: a
-// query on a continental road network would hold its state-pool lease far
-// past the deadline.
+// query on a continental road network would hold its worker far past the
+// deadline.
 struct BucketQueue {
   bool nextBucket();
   long currentKey();

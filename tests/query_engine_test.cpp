@@ -19,7 +19,6 @@
 #include "graph/Generators.h"
 #include "service/LandmarkCache.h"
 #include "service/SnapshotStore.h"
-#include "service/StatePool.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -325,25 +324,6 @@ TEST(DistanceState, BeginQueryAfterRepairResetsLiftedAndCutOffVertices) {
       for (VertexId V = 0; V < 8; ++V)
         EXPECT_EQ(State.parent(V), V == 5 ? 5 : kInvalidVertex);
     }
-}
-
-//===----------------------------------------------------------------------===//
-// StatePool
-//===----------------------------------------------------------------------===//
-
-TEST(StatePool, LeasesAreReused) {
-  StatePool Pool(100);
-  {
-    StatePool::Lease A = Pool.acquire();
-    StatePool::Lease B = Pool.acquire();
-    EXPECT_TRUE(A);
-    EXPECT_TRUE(B);
-    EXPECT_EQ(Pool.created(), 2u);
-  }
-  EXPECT_EQ(Pool.idle(), 2u);
-  StatePool::Lease C = Pool.acquire();
-  EXPECT_EQ(Pool.created(), 2u) << "lease should come from the free list";
-  EXPECT_EQ(Pool.idle(), 1u);
 }
 
 //===----------------------------------------------------------------------===//

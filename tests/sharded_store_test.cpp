@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -252,7 +253,7 @@ TEST(ShardedStore, PinnedReadersSurviveCompaction) {
 }
 
 //===----------------------------------------------------------------------===//
-// Folded segments: the base row format
+// Patch lists and folded segments: the row format
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -271,33 +272,195 @@ Rows rowsOf(const DeltaGraph &D, bool In) {
   return All;
 }
 
-/// Folds \p D in two ranges and checks that no row changed, that weighted
-/// rows now come packed like base rows and unweighted ones as bare ids.
-void foldAndCompare(DeltaGraph &D) {
-  const bool WithIn = D.hasInEdges() && !D.isSymmetric();
-  const Rows Out = rowsOf(D, false);
-  const Rows In = WithIn ? rowsOf(D, true) : Rows();
-  const Count N = D.numNodes(), Half = N / 2 + 7;
-  D.adoptSegment(D.foldRange(0, Half));
-  D.adoptSegment(D.foldRange(Half, N - Half));
-  EXPECT_EQ(D.numSegments(), 2);
-  EXPECT_EQ(D.overlayEdges(), 0);
-  EXPECT_EQ(rowsOf(D, false), Out);
-  if (WithIn) {
-    EXPECT_EQ(rowsOf(D, true), In);
-  }
-  for (VertexId V = 0; V < N; ++V) {
+/// Checks that no folded row is a patch list any more: weighted rows come
+/// packed like base rows and unweighted ones as bare ids.
+void expectBaseRowFormat(const DeltaGraph &D) {
+  for (VertexId V = 0; V < D.numNodes(); ++V) {
     const Graph::NeighborRange R = D.outNeighbors(V);
     if (D.isWeighted()) {
       EXPECT_NE(R.Packed, nullptr) << "vertex " << V;
     } else {
-      EXPECT_TRUE(R.Packed == nullptr && R.Weights == nullptr)
-          << "vertex " << V;
+      EXPECT_TRUE(R.Packed == nullptr && R.Ids != nullptr) << "vertex " << V;
     }
   }
 }
 
+/// Folds \p D over [0, End) for each of \p Ends in turn, a range that only
+/// grows as a shard's does, and checks that no row changed at any step and
+/// that the one installed segment ends up covering [0, N).
+void foldAndCompare(DeltaGraph &D, const std::vector<Count> &Ends) {
+  const bool WithIn = D.hasInEdges() && !D.isSymmetric();
+  const Rows Out = rowsOf(D, false);
+  const Rows In = WithIn ? rowsOf(D, true) : Rows();
+  for (Count End : Ends) {
+    D.adoptSegment(D.foldRange(0, End));
+    ASSERT_NE(D.segment(), nullptr);
+    EXPECT_EQ(D.segment()->First, 0);
+    EXPECT_EQ(D.segment()->NumVerts, End);
+    EXPECT_EQ(rowsOf(D, false), Out) << "after folding [0, " << End << ")";
+    if (WithIn) {
+      EXPECT_EQ(rowsOf(D, true), In) << "after folding [0, " << End << ")";
+    }
+  }
+  EXPECT_EQ(D.overlayEdges(), 0);
+  expectBaseRowFormat(D);
+}
+
+/// A brute-force adjacency: one ordered map per vertex and direction.
+struct ReferenceAdjacency {
+  std::vector<std::map<VertexId, Weight>> Out, In;
+
+  explicit ReferenceAdjacency(const Graph &G)
+      : Out(static_cast<size_t>(G.numNodes())),
+        In(static_cast<size_t>(G.numNodes())) {
+    for (VertexId V = 0; V < G.numNodes(); ++V)
+      for (WNode E : G.outNeighbors(V)) {
+        Out[V][E.V] = E.W;
+        In[E.V][V] = E.W;
+      }
+  }
+
+  /// What DeltaGraph::apply does with \p U (weights 1 when unweighted),
+  /// both directions on symmetric graphs.
+  void apply(const EdgeUpdate &U, bool Symmetric, bool Weighted) {
+    auto One = [&](VertexId S, VertexId T) {
+      if (U.Kind == UpdateKind::Delete) {
+        Out[S].erase(T);
+        In[T].erase(S);
+        return;
+      }
+      Out[S][T] = In[T][S] = Weighted ? U.W : Weight{1};
+    };
+    One(U.Src, U.Dst);
+    if (Symmetric)
+      One(U.Dst, U.Src);
+  }
+
+  static Rows rows(const std::vector<std::map<VertexId, Weight>> &Maps) {
+    Rows All(Maps.size());
+    for (size_t V = 0; V < Maps.size(); ++V)
+      All[V].assign(Maps[V].begin(), Maps[V].end());
+    return All;
+  }
+};
+
 } // namespace
+
+TEST(DeltaGraphRows, PatchedRowsArePackedAndMatchAReference) {
+  std::vector<Edge> Rmat = rmatEdges(10, 6, 13);
+  BuildOptions Unweighted;
+  Unweighted.Weighted = false;
+  const Graph Graphs[] = {
+      roadGraph(24),
+      GraphBuilder(Unweighted).build(Count{1} << 10, Rmat),
+  };
+  const char *Names[] = {"weighted symmetric road grid",
+                         "unweighted directed R-MAT with in-edges"};
+  for (int G = 0; G < 2; ++G) {
+    SCOPED_TRACE(Names[G]);
+    const Graph &Base = Graphs[G];
+    const bool Sym = Base.isSymmetric(), Weighted = Base.isWeighted();
+    ASSERT_EQ(Weighted, G == 0);
+    ASSERT_EQ(Sym || !Base.hasInEdges(), G == 0);
+    DeltaGraph D(std::make_shared<const Graph>(Base));
+    ReferenceAdjacency Ref(Base);
+    const Count N = D.numNodes();
+    SplitMix64 Rng(700 + G);
+    auto Vertex = [&] { return static_cast<VertexId>(Rng.nextInt(0, N)); };
+
+    // Two rounds: the first patches base rows, the second rows of the
+    // segment the first fold installed.
+    for (int Round = 0; Round < 2; ++Round) {
+      SCOPED_TRACE("round " + std::to_string(Round));
+      std::vector<VertexId> OutPatched, InPatched;
+      // The rows an applied transition wrote (symmetric graphs report
+      // both directions).
+      auto Apply = [&](const std::vector<EdgeUpdate> &Batch) {
+        for (const AppliedUpdate &A : D.apply(Batch)) {
+          OutPatched.push_back(A.Src);
+          if (!Sym)
+            InPatched.push_back(A.Dst);
+        }
+        for (const EdgeUpdate &U : Batch)
+          Ref.apply(U, Sym, Weighted);
+      };
+      // Upserts: new edges and weight changes of existing ones.
+      std::vector<EdgeUpdate> Upserts;
+      for (int I = 0; I < 40; ++I) {
+        const VertexId S = Vertex(), T = Vertex();
+        if (S != T)
+          Upserts.push_back(EdgeUpdate{S, T,
+                                       static_cast<Weight>(Rng.nextInt(1, 300)),
+                                       UpdateKind::Upsert});
+        const auto &Row = Ref.Out[S];
+        if (!Row.empty())
+          Upserts.push_back(EdgeUpdate{S, Row.begin()->first,
+                                       Row.begin()->second + 9,
+                                       UpdateKind::Upsert});
+      }
+      Apply(Upserts);
+      // Deletes of existing edges, then re-inserts of half of them.
+      std::vector<EdgeUpdate> Deletes, Reinserts;
+      for (int I = 0; I < 40; ++I) {
+        const VertexId S = Vertex();
+        const auto &Row = Ref.Out[S];
+        if (Row.empty())
+          continue;
+        auto It = Row.begin();
+        std::advance(It, Rng.nextInt(0, static_cast<int64_t>(Row.size())));
+        Deletes.push_back(EdgeUpdate{S, It->first, 0, UpdateKind::Delete});
+        if (I % 2 == 0)
+          Reinserts.push_back(EdgeUpdate{
+              S, It->first, static_cast<Weight>(It->second + Round + 1),
+              UpdateKind::Upsert});
+      }
+      Apply(Deletes);
+      Apply(Reinserts);
+
+      EXPECT_GT(D.overlayEdges(), 0);
+      EXPECT_EQ(rowsOf(D, false), ReferenceAdjacency::rows(Ref.Out));
+      if (!Sym) {
+        EXPECT_EQ(rowsOf(D, true), ReferenceAdjacency::rows(Ref.In));
+      }
+      // Every patched row is a patch list, in the packed layout whatever
+      // the graph's weighting.
+      for (VertexId V : OutPatched) {
+        const Graph::NeighborRange R = D.outNeighbors(V);
+        EXPECT_EQ(R.Ids, nullptr) << "out-row of " << V;
+        EXPECT_TRUE(R.size() == 0 || R.Packed != nullptr)
+            << "out-row of " << V;
+      }
+      for (VertexId V : InPatched) {
+        const Graph::NeighborRange R = D.inNeighbors(V);
+        EXPECT_EQ(R.Ids, nullptr) << "in-row of " << V;
+        EXPECT_TRUE(R.size() == 0 || R.Packed != nullptr)
+            << "in-row of " << V;
+      }
+
+      D.compactRange(0, N);
+      EXPECT_EQ(D.overlayEdges(), 0);
+      EXPECT_EQ(rowsOf(D, false), ReferenceAdjacency::rows(Ref.Out));
+      if (!Sym) {
+        EXPECT_EQ(rowsOf(D, true), ReferenceAdjacency::rows(Ref.In));
+      }
+      expectBaseRowFormat(D);
+    }
+  }
+}
+
+TEST(DeltaGraphRowsDeathTest, AdoptingASegmentThatDoesNotCoverTheInstalledOne) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  DeltaGraph D(std::make_shared<const Graph>(roadGraph(8)));
+  const Count N = D.numNodes(), Half = N / 2;
+  D.compactRange(Half, N - Half);
+  const char *Message = "adoptSegment: the new segment does not cover";
+  EXPECT_DEATH(D.compactRange(0, Half), Message);              // disjoint
+  EXPECT_DEATH(D.compactRange(Half + 1, N - Half - 1), Message); // later
+  EXPECT_DEATH(D.compactRange(Half, N - Half - 1), Message);     // shorter
+  D.compactRange(0, N); // covers the installed range: adopted
+  EXPECT_EQ(D.segment()->First, 0);
+  EXPECT_EQ(D.segment()->NumVerts, N);
+}
 
 TEST(ShardedStore, FoldedSegmentRowsEqualTheRowsTheyReplace) {
   std::vector<Edge> Rmat = rmatEdges(10, 6, 12);
@@ -317,12 +480,15 @@ TEST(ShardedStore, FoldedSegmentRowsEqualTheRowsTheyReplace) {
     ASSERT_EQ(Graphs[G].isWeighted(), G != 1);
     DeltaGraph D(std::make_shared<const Graph>(Graphs[G]));
     SplitMix64 Rng(900 + G);
-    // Fold patched rows, then rows patched on top of a segment, so both
-    // fold sources and a re-fold over an installed segment are covered.
+    // Fold patched rows over [0, N/2) and then [0, N), then rows patched
+    // on top of that segment over [0, N) again, so both fold sources, a
+    // growing range and a re-fold over an installed segment are covered.
+    const Count N = D.numNodes();
     for (int Round = 0; Round < 2; ++Round) {
       D.apply(randomBatch(D, 60, Rng));
       ASSERT_GT(D.overlayEdges(), 0);
-      foldAndCompare(D);
+      foldAndCompare(D, Round == 0 ? std::vector<Count>{N / 2, N}
+                                   : std::vector<Count>{N});
       if (HasFatalFailure())
         return;
     }

@@ -525,15 +525,17 @@ TEST(SnapshotStore, PublishSharesUntouchedPatchLists) {
   Store.applyUpdates({EdgeUpdate{0, E0.V, static_cast<Weight>(E0.W + 10),
                                  UpdateKind::Upsert}});
   SnapshotStore::Snapshot SnapA = Store.current();
-  const VertexId *ListOfZero = SnapA->outNeighbors(0).Ids;
-  ASSERT_NE(ListOfZero, nullptr); // patched: served from a patch list
+  const WNode *ListOfZero = SnapA->outNeighbors(0).Packed;
+  ASSERT_NE(ListOfZero, nullptr);
+  ASSERT_NE(ListOfZero, SnapA->base().outNeighbors(0).Packed)
+      << "patched: served from a patch list, not the base row";
 
   // A batch touching a distant vertex publishes without copying 0's list.
   WNode EF = *Store.current()->outNeighbors(Far).begin();
   Store.applyUpdates({EdgeUpdate{Far, EF.V, static_cast<Weight>(EF.W + 10),
                                  UpdateKind::Upsert}});
   SnapshotStore::Snapshot SnapB = Store.current();
-  EXPECT_EQ(SnapB->outNeighbors(0).Ids, ListOfZero)
+  EXPECT_EQ(SnapB->outNeighbors(0).Packed, ListOfZero)
       << "untouched patch list must be shared across publishes";
 
   // Re-touching vertex 0 clones its list (copy-on-write); the pinned
@@ -541,7 +543,7 @@ TEST(SnapshotStore, PublishSharesUntouchedPatchLists) {
   Store.applyUpdates({EdgeUpdate{0, E0.V, static_cast<Weight>(E0.W + 20),
                                  UpdateKind::Upsert}});
   SnapshotStore::Snapshot SnapC = Store.current();
-  EXPECT_NE(SnapC->outNeighbors(0).Ids, ListOfZero)
+  EXPECT_NE(SnapC->outNeighbors(0).Packed, ListOfZero)
       << "dirtied patch list must be cloned, not mutated in place";
   auto WeightTo = [](const SnapshotStore::Snapshot &S, VertexId U,
                      VertexId V) -> Weight {

@@ -9,7 +9,7 @@
 // empty graph, insert-then-query (unreachable until seeded), insertion
 // under a permuted store (external-id round-trips through the identity
 // tail), insertion followed by compaction (synchronous and background
-// replay), and hot-state/pooled-state resizing in the QueryEngine.
+// replay), and hot-state and worker-state resizing in the QueryEngine.
 //
 //===----------------------------------------------------------------------===//
 
@@ -201,6 +201,33 @@ TEST(VertexInsertion, InsertThenQueryUnreachableThenSeeded) {
   SSSPResult Fresh = deltaSteppingSSSP(*Snap, 0, S);
   EXPECT_EQ(Fresh.Dist[NewV], 42);
   EXPECT_GT(Engine.hotRepairs(), 0u);
+}
+
+TEST(VertexInsertion, GrownIdServesAPointQueryAtOnce) {
+  // One worker and no hot cache: the first query after the growth runs in
+  // the worker's own state, built at the old size, which runOne resizes
+  // to the pinned snapshot.
+  Graph G = roadGraph(12, 15);
+  SnapshotStore Store(G);
+  QueryEngine::Options Opts;
+  Opts.NumWorkers = 1;
+  Opts.DefaultSchedule.configApplyPriorityUpdateDelta(1024);
+  QueryEngine Engine(Store, Opts);
+  Query Q;
+  Q.Kind = QueryKind::PPSP;
+  Q.Source = 0;
+  Q.Target = 1;
+  ASSERT_EQ(Engine.runBatch({Q})[0].Status, QueryStatus::Ok);
+
+  const VertexId First = Engine.addVertices(2);
+  EXPECT_EQ(static_cast<Count>(First), G.numNodes());
+  const VertexId Second = First + 1;
+  Engine.applyUpdates({EdgeUpdate{0, First, 5, UpdateKind::Upsert},
+                       EdgeUpdate{First, Second, 7, UpdateKind::Upsert}});
+  Q.Target = Second;
+  QueryResult R = Engine.runBatch({Q})[0];
+  EXPECT_EQ(R.Status, QueryStatus::Ok);
+  EXPECT_EQ(R.Dist, Priority{12});
 }
 
 //===----------------------------------------------------------------------===//
